@@ -63,6 +63,18 @@ while IFS= read -r md; do
   esac
 done < <(find . -path ./build -prune -o -path ./build-tsan -prune -o \
          -path ./build-asan -prune -o -name '*.md' -print)
+# The profiling-scope table in docs/observability.md must list exactly the
+# ECGF_PROF_SCOPE("...") literals in src/ (catches a scope added or renamed
+# without its doc row).
+scopes_src="$(grep -rhoE 'ECGF_PROF_SCOPE\("[^"]+"\)' src \
+  | sed -E 's/^ECGF_PROF_SCOPE\("//; s/"\)$//' | sort -u)"
+scopes_doc="$(sed -n '/^| scope | covers |$/,/^$/p' docs/observability.md \
+  | grep -oE '^\| `[^`]+` \|' | sed -E 's/^\| `//; s/` \|$//' | sort -u)"
+if [[ "$scopes_src" != "$scopes_doc" ]]; then
+  echo "!! docs/observability.md scope table differs from ECGF_PROF_SCOPE in src/:" >&2
+  diff <(echo "$scopes_doc") <(echo "$scopes_src") | sed 's/^/   /' >&2 || true
+  docs_fail=1
+fi
 if [[ "$docs_fail" != "0" ]]; then
   echo "!! docs lint failed" >&2
   exit 1
@@ -374,7 +386,7 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
   if c++ -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" \
        >/dev/null 2>&1 && "$asan_probe/probe"; then
-    echo "== AddressSanitizer shard (sim_test, shard_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test) =="
+    echo "== AddressSanitizer shard (sim_test, shard_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
     asan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-asan/CMakeCache.txt ]]; then
       asan_generator=(-G Ninja)
@@ -382,7 +394,8 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
     cmake -B build-asan "${asan_generator[@]}" -DECGF_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build build-asan -j"$(nproc)" --target sim_test shard_test \
-      schemes_test net_test cache_test netmodel_test workload_test live_test
+      schemes_test net_test cache_test netmodel_test workload_test live_test \
+      perf_kernels_test
     # gtest_discover_tests registers per-case names (not binary names), so
     # run everything discovered in this tree except the <target>_NOT_BUILT
     # placeholders of the test binaries we deliberately didn't build.
@@ -407,7 +420,7 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$tsan_probe/probe.cpp"
   if c++ -fsanitize=thread "$tsan_probe/probe.cpp" -o "$tsan_probe/probe" \
        >/dev/null 2>&1 && "$tsan_probe/probe"; then
-    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test) =="
+    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
     tsan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-tsan/CMakeCache.txt ]]; then
       tsan_generator=(-G Ninja)
@@ -415,7 +428,8 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
     cmake -B build-tsan "${tsan_generator[@]}" -DECGF_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build build-tsan -j"$(nproc)" --target threading_test obs_test \
-      ctl_test shard_test schemes_test netmodel_test workload_test live_test
+      ctl_test shard_test schemes_test netmodel_test workload_test live_test \
+      perf_kernels_test
     ECGF_THREADS=8 ./build-tsan/tests/threading_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/obs_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/ctl_test || fail=1
@@ -426,6 +440,8 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
     # The live end-to-end suite runs member threads against the
     # coordinator's socket loop in-process — real concurrency for TSan.
     ECGF_THREADS=8 ./build-tsan/tests/live_test || fail=1
+    # K-means restarts run on pool workers, each with its own bound buffer.
+    ECGF_THREADS=8 ./build-tsan/tests/perf_kernels_test || fail=1
   else
     echo "== ThreadSanitizer unsupported by this toolchain; skipping =="
   fi

@@ -147,18 +147,28 @@ KMeansResult kmeans_single(const Points& points, std::size_t k,
 }
 
 // ----------------------------------------------------------------------
-// Optimised (pruned) kernel.
+// Optimised (pruned) kernel: Yinyang group bounds (Ding et al., ICML 2015).
+//
+// The k centres are split once per restart into t = max(1, k/10) groups.
+// Every point keeps one upper bound (distance to its own centre) and one
+// lower bound per group (distance to the nearest OTHER centre in that
+// group). Each iteration a group bound decays by the largest drift of a
+// centre in that group, not by the global largest drift, so groups far
+// from a point stay cleared for many iterations. t = 1 is Hamerly's
+// single-bound kernel.
 //
 // Exactness argument, step by step:
 //  * Distances are computed by the same squared_l2 kernel over the same
 //    values in the same order → identical bits where they are computed.
-//  * The full scan (`nearest_two`) applies the same `d < best` update
-//    rule in the same centre order as `nearest_center` → identical
-//    winning index, including on exact ties (lowest index wins).
-//  * A point is pruned only when conservative bounds prove its current
-//    centre is STRICTLY the unique nearest (strict `<` against slack-
-//    inflated bounds) — the naive scan would return the same centre, so
-//    skipping it changes nothing observable.
+//  * The naive scan returns the lexicographic minimum of (distance, centre
+//    index) — strict `<` in ascending order. The group scan picks the
+//    winner by that same pair, so it returns the same centre, exact ties
+//    included, whenever every centre it skips is provably strictly
+//    farther than the point's current centre.
+//  * A point (or one of its groups) is skipped only when conservative
+//    bounds prove exactly that (strict `<` against slack-inflated bounds):
+//    skipping changes nothing observable. The grouping itself only decides
+//    how much is skipped, never the result.
 //  * Centres are recomputed only for clusters whose membership changed
 //    ("dirty"); an untouched cluster's centre is bit-identical to what a
 //    full recompute would produce because the full recompute also sums
@@ -178,30 +188,144 @@ KMeansResult kmeans_single(const Points& points, std::size_t k,
 constexpr double kUpperSlack = 1.0 + 1e-9;
 constexpr double kLowerSlack = 1.0 - 1e-9;
 
+/// Lloyd steps the centre grouping runs (Ding et al. use five).
+constexpr std::size_t kGroupingSteps = 5;
+
+/// A partition of the centre ids into groups, fixed for one restart.
+/// Group g is members[begin[g], begin[g + 1]), ascending centre ids.
+struct CenterGroups {
+  std::vector<std::uint32_t> members;
+  std::vector<std::size_t> begin;
+  std::vector<std::uint32_t> group_of;  ///< centre id → group
+
+  std::size_t count() const { return begin.size() - 1; }
+};
+
+/// Group the k centres by running kGroupingSteps Lloyd steps over the
+/// centre rows themselves (the naive kernel's own assignment and update
+/// helpers), seeded with the evenly spaced centres g·k/t. Draws no random
+/// numbers and breaks ties toward the lower group.
+CenterGroups group_centers(const std::vector<double>& centers, std::size_t k,
+                           std::size_t dim) {
+  const std::size_t t = std::max<std::size_t>(1, k / 10);
+  Points rows(k), means;
+  for (std::size_t c = 0; c < k; ++c) {
+    rows[c].assign(centers.data() + c * dim, centers.data() + (c + 1) * dim);
+  }
+  for (std::size_t g = 0; g < t; ++g) means.push_back(rows[g * k / t]);
+  std::vector<std::uint32_t> group_of(k, 0);
+  for (std::size_t step = 0; step < kGroupingSteps; ++step) {
+    for (std::size_t c = 0; c < k; ++c) {
+      group_of[c] = nearest_center(rows[c], means);
+    }
+    recompute_centers(rows, group_of, means);
+  }
+
+  // Counting sort of the centre ids by group. An empty group has nothing
+  // to scan and its bound is infinite, so it costs only its bound slot.
+  CenterGroups out;
+  out.group_of = group_of;
+  out.begin.assign(t + 1, 0);
+  for (std::uint32_t g : group_of) ++out.begin[g + 1];
+  for (std::size_t g = 0; g < t; ++g) out.begin[g + 1] += out.begin[g];
+  out.members.resize(k);
+  std::vector<std::size_t> fill(out.begin.begin(), out.begin.end() - 1);
+  for (std::uint32_t c = 0; c < k; ++c) out.members[fill[group_of[c]]++] = c;
+  return out;
+}
+
 struct NearestTwo {
   std::uint32_t best = 0;
   double best_d2 = kInf;
   double second_d2 = kInf;
 };
 
-/// Full centre scan tracking the two smallest distances. The `best`
-/// update rule is literally nearest_center's, so the winning index (and
-/// its tie-breaking) is identical; `second_d2` is the smallest distance
-/// to any other centre, used to seed the lower bound.
-NearestTwo nearest_two(const double* p, const double* centers, std::size_t k,
-                       std::size_t dim) {
-  NearestTwo out;
-  for (std::uint32_t c = 0; c < k; ++c) {
-    const double d = squared_l2(p, centers + c * dim, dim);
-    if (d < out.best_d2) {
-      out.second_d2 = out.best_d2;
-      out.best_d2 = d;
-      out.best = c;
-    } else if (d < out.second_d2) {
-      out.second_d2 = d;
+/// Local filter: exact nearest centre of `p` among the centres the group
+/// bounds cannot rule out. `a` is the point's current centre and `a_d2`
+/// its exact squared distance; `upper` bounds distance(p, a) from above
+/// and `lower[g]` bounds the distance to every centre of group g other
+/// than `a` from below. Groups with upper < lower[g] are skipped: all
+/// their centres are strictly farther than `a`, so they can neither win
+/// nor tie. Each other group is scanned in ascending centre order with
+/// nearest_center's strict `<` rule, tracking its two smallest distances;
+/// the winner is the lexicographic minimum of (squared distance, centre
+/// id) over `a` and the group winners — the naive scan's winner. On return
+/// `lower` holds the bounds for the returned centre and `best_d2` its
+/// exact squared distance. `scan` is t entries of scratch.
+std::uint32_t nearest_by_groups(const double* p, std::uint32_t a, double a_d2,
+                                double upper, double* lower,
+                                const double* centers, std::size_t dim,
+                                const CenterGroups& groups, NearestTwo* scan,
+                                double& best_d2) {
+  const std::size_t t = groups.count();
+  std::uint32_t best = a;
+  best_d2 = a_d2;
+  for (std::size_t g = 0; g < t; ++g) {
+    if (upper < lower[g]) continue;
+    NearestTwo nt;
+    for (std::size_t m = groups.begin[g]; m < groups.begin[g + 1]; ++m) {
+      const std::uint32_t c = groups.members[m];
+      const double d2 = c == a ? a_d2 : squared_l2(p, centers + c * dim, dim);
+      if (d2 < nt.best_d2) {
+        nt.second_d2 = nt.best_d2;
+        nt.best_d2 = d2;
+        nt.best = c;
+      } else if (d2 < nt.second_d2) {
+        nt.second_d2 = d2;
+      }
+    }
+    scan[g] = nt;
+    if (nt.best_d2 < best_d2 || (nt.best_d2 == best_d2 && nt.best < best)) {
+      best_d2 = nt.best_d2;
+      best = nt.best;
     }
   }
-  return out;
+  for (std::size_t g = 0; g < t; ++g) {
+    if (upper < lower[g]) {
+      // A skipped group keeps its bound, except that a centre leaving the
+      // point joins the "other centres" of its own group.
+      if (best != a && g == groups.group_of[a]) {
+        lower[g] = std::min(lower[g], std::sqrt(a_d2) * kLowerSlack);
+      }
+      continue;
+    }
+    // Nearest centre of the group other than `best`: when the group's own
+    // winner is `best` that is the runner-up, otherwise the winner.
+    const double other_d2 =
+        scan[g].best == best ? scan[g].second_d2 : scan[g].best_d2;
+    lower[g] = std::sqrt(other_d2) * kLowerSlack;
+  }
+  return best;
+}
+
+/// Full scan for a point without bounds: nearest_center's loop (ascending
+/// centre order, strict `<`), plus each group's bound — its nearest
+/// centre other than the winner — read off the distances kept in `dist`
+/// (k doubles of scratch). Walks the centres contiguously, so it keeps the
+/// naive scan's speed.
+std::uint32_t nearest_full_scan(const double* p, const double* centers,
+                                std::size_t k, std::size_t dim,
+                                const CenterGroups& groups, double* dist,
+                                double* lower, double& best_d2) {
+  std::uint32_t best = 0;
+  best_d2 = kInf;
+  for (std::uint32_t c = 0; c < k; ++c) {
+    const double d2 = squared_l2(p, centers + c * dim, dim);
+    dist[c] = d2;
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = c;
+    }
+  }
+  for (std::size_t g = 0; g < groups.count(); ++g) {
+    double other_d2 = kInf;
+    for (std::size_t m = groups.begin[g]; m < groups.begin[g + 1]; ++m) {
+      const std::uint32_t c = groups.members[m];
+      if (c != best) other_d2 = std::min(other_d2, dist[c]);
+    }
+    lower[g] = std::sqrt(other_d2) * kLowerSlack;
+  }
+  return best;
 }
 
 /// Packed mirror of recompute_centers, restricted to dirty clusters.
@@ -305,13 +429,23 @@ KMeansResult kmeans_single_pruned(const Points& points,
     }
   }
 
+  // Grouping comes after the init draws and draws nothing itself, so the
+  // RNG stream and trace events match the naive twin.
+  const CenterGroups groups = group_centers(centers, k, dim);
+  const std::size_t t = groups.count();
+
+  // Per point: one upper bound and t group lower bounds (row i of
+  // `lower`), seeded by a full scan.
   std::vector<std::uint32_t> assignment(n);
-  std::vector<double> upper(n), lower(n);
+  std::vector<double> upper(n), lower(n * t, 0.0);
+  std::vector<NearestTwo> scan(t);
+  std::vector<double> dist(k);
   for (std::size_t i = 0; i < n; ++i) {
-    const NearestTwo nt = nearest_two(packed.row(i), centers.data(), k, dim);
-    assignment[i] = nt.best;
-    upper[i] = std::sqrt(nt.best_d2) * kUpperSlack;
-    lower[i] = std::sqrt(nt.second_d2) * kLowerSlack;
+    double best_d2 = 0.0;
+    assignment[i] =
+        nearest_full_scan(packed.row(i), centers.data(), k, dim, groups,
+                          dist.data(), lower.data() + i * t, best_d2);
+    upper[i] = std::sqrt(best_d2) * kUpperSlack;
   }
   std::vector<std::uint8_t> dirty(k, 1);
   bool bounds_valid =
@@ -321,6 +455,7 @@ KMeansResult kmeans_single_pruned(const Points& points,
   // first iteration.
   std::vector<double> old_centers(k * dim);
   std::vector<double> drift(k, 0.0);
+  std::vector<double> group_drift(t, 0.0);
   std::vector<double> half_gap(k, 0.0);
   std::vector<std::size_t> counts(k, 0);
   // Cached pairwise squared centre-centre distances feeding half_gap.
@@ -347,14 +482,15 @@ KMeansResult kmeans_single_pruned(const Points& points,
     // old and new rows are the same bits, so its drift is exactly 0.0 —
     // identical to computing sqrt(squared_l2(x, x)) — and its cached gap
     // entries are still current.
-    double max_drift = 0.0;
+    std::fill(group_drift.begin(), group_drift.end(), 0.0);
     for (std::size_t c = 0; c < k; ++c) {
       drift[c] = dirty[c]
                      ? std::sqrt(squared_l2(old_centers.data() + c * dim,
                                             centers.data() + c * dim, dim)) *
                            kUpperSlack
                      : 0.0;
-      max_drift = std::max(max_drift, drift[c]);
+      double& gd = group_drift[groups.group_of[c]];
+      gd = std::max(gd, drift[c]);
     }
     if (use_half_gap) {
       for (std::size_t a = 0; a < k; ++a) {
@@ -381,30 +517,39 @@ KMeansResult kmeans_single_pruned(const Points& points,
     std::size_t reassigned = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t a = assignment[i];
+      double* lb = lower.data() + i * t;
+      double global_lb = kInf;
       if (bounds_valid) {
         upper[i] = (upper[i] + drift[a]) * kUpperSlack;
-        lower[i] = std::max(0.0, (lower[i] - max_drift) * kLowerSlack);
+        for (std::size_t g = 0; g < t; ++g) {
+          lb[g] = std::max(0.0, (lb[g] - group_drift[g]) * kLowerSlack);
+          global_lb = std::min(global_lb, lb[g]);
+        }
       } else {
         upper[i] = kInf;
-        lower[i] = 0.0;
+        std::fill_n(lb, t, 0.0);
+        global_lb = 0.0;
       }
-      const double guard = std::max(half_gap[a], lower[i]);
-      if (upper[i] < guard) continue;  // provably still strictly nearest
-      // Tighten the upper bound to the exact current distance and retry.
-      const double du =
-          std::sqrt(squared_l2(packed.row(i), centers.data() + a * dim, dim));
-      upper[i] = du * kUpperSlack;
+      // Global filter: every other centre is provably strictly farther.
+      const double guard = std::max(half_gap[a], global_lb);
       if (upper[i] < guard) continue;
-      // Fall back to the naive scan (identical comparisons and order).
-      const NearestTwo nt = nearest_two(packed.row(i), centers.data(), k, dim);
-      if (nt.best != a) {
-        assignment[i] = nt.best;
+      // Tighten the upper bound to the exact current distance and retry.
+      const double* row = packed.row(i);
+      const double a_d2 = squared_l2(row, centers.data() + a * dim, dim);
+      upper[i] = std::sqrt(a_d2) * kUpperSlack;
+      if (upper[i] < guard) continue;
+      // Local filter: scan only the groups the bounds cannot clear.
+      double best_d2 = 0.0;
+      const std::uint32_t best =
+          nearest_by_groups(row, a, a_d2, upper[i], lb, centers.data(), dim,
+                            groups, scan.data(), best_d2);
+      if (best != a) {
+        assignment[i] = best;
         ++reassigned;
         dirty[a] = 1;
-        dirty[nt.best] = 1;
+        dirty[best] = 1;
       }
-      upper[i] = std::sqrt(nt.best_d2) * kUpperSlack;
-      lower[i] = std::sqrt(nt.second_d2) * kLowerSlack;
+      upper[i] = std::sqrt(best_d2) * kUpperSlack;
     }
     bounds_valid =
         repair_empty_clusters_packed(packed, assignment, centers, k, dirty) ==

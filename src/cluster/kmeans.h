@@ -38,7 +38,8 @@ struct KMeansOptions {
   /// strategy's `center_chosen`/`guard_abandoned`.
   obs::TraceContext* trace = nullptr;
   /// Use the optimised Lloyd kernel: contiguous (packed) point storage,
-  /// Hamerly-style distance-bound pruning in the assignment step, and
+  /// Yinyang group-bound pruning in the assignment step (one lower bound
+  /// per group of about ten centres; Hamerly's kernel when k < 20), and
   /// incremental (dirty-cluster) centre recomputation. The optimised
   /// kernel is **bit-identical** to the naive one — same assignments,
   /// centres, iteration counts, WCSS, and trace events, because it only

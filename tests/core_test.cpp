@@ -364,16 +364,18 @@ TEST_P(SchemeSweep, ValidPartition) {
   EXPECT_EQ(result.landmarks[0], network.server());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SchemeSweep,
-    ::testing::Values(SchemeSweepParam{SchemeKind::kSl, 2, 1},
-                      SchemeSweepParam{SchemeKind::kSl, 5, 2},
-                      SchemeSweepParam{SchemeKind::kSl, 10, 3},
-                      SchemeSweepParam{SchemeKind::kSl, 40, 4},
-                      SchemeSweepParam{SchemeKind::kSdsl, 2, 5},
-                      SchemeSweepParam{SchemeKind::kSdsl, 5, 6},
-                      SchemeSweepParam{SchemeKind::kSdsl, 10, 7},
-                      SchemeSweepParam{SchemeKind::kSdsl, 40, 8}));
+// gtest names each case after the raw bytes of its parameter, padding
+// included. A static array is zero-initialised, padding and all, so the
+// names stay the same from run to run; stack temporaries passed to
+// ::testing::Values would leave stray bytes in them.
+constexpr SchemeSweepParam kSchemeSweepParams[] = {
+    {SchemeKind::kSl, 2, 1},   {SchemeKind::kSl, 5, 2},
+    {SchemeKind::kSl, 10, 3},  {SchemeKind::kSl, 40, 4},
+    {SchemeKind::kSdsl, 2, 5}, {SchemeKind::kSdsl, 5, 6},
+    {SchemeKind::kSdsl, 10, 7}, {SchemeKind::kSdsl, 40, 8}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, SchemeSweep,
+                         ::testing::ValuesIn(kSchemeSweepParams));
 
 }  // namespace
 }  // namespace ecgf::core

@@ -64,17 +64,22 @@ TEST_P(PositionSweep, SchemeProducesValidGroupsAndSaneGicost) {
       << "kind=" << static_cast<int>(kind) << " L=" << landmarks;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PositionSweep,
-    ::testing::Values(
-        PositionSweepParam{core::PositionKind::kFeatureVector, 5},
-        PositionSweepParam{core::PositionKind::kFeatureVector, 10},
-        PositionSweepParam{core::PositionKind::kFeatureVector, 20},
-        PositionSweepParam{core::PositionKind::kGnp, 8},
-        PositionSweepParam{core::PositionKind::kGnp, 12},
-        PositionSweepParam{core::PositionKind::kVirtualLandmarks, 6},
-        PositionSweepParam{core::PositionKind::kVirtualLandmarks, 12},
-        PositionSweepParam{core::PositionKind::kVivaldi, 5}));
+// gtest names each case after the raw bytes of its parameter, padding
+// included. A static array is zero-initialised, padding and all, so the
+// names stay the same from run to run; stack temporaries passed to
+// ::testing::Values would leave stray bytes in them.
+constexpr PositionSweepParam kPositionSweepParams[] = {
+    {core::PositionKind::kFeatureVector, 5},
+    {core::PositionKind::kFeatureVector, 10},
+    {core::PositionKind::kFeatureVector, 20},
+    {core::PositionKind::kGnp, 8},
+    {core::PositionKind::kGnp, 12},
+    {core::PositionKind::kVirtualLandmarks, 6},
+    {core::PositionKind::kVirtualLandmarks, 12},
+    {core::PositionKind::kVivaldi, 5}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, PositionSweep,
+                         ::testing::ValuesIn(kPositionSweepParams));
 
 // ---------------------------------------------------------------------
 // SDSL θ sweep: every θ gives a valid partition; higher θ concentrates

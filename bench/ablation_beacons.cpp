@@ -20,14 +20,15 @@ int main(int argc, char** argv) {
 
   std::cout << "Ablation — beacons per group (N=200, K=10)\n";
 
+  const auto sdsl =
+      std::make_shared<const core::SdslScheme>(bench::paper_scheme_config());
   std::vector<core::SweepPoint> points;
   for (const std::size_t beacons : beacon_counts) {
     core::SweepPoint p;
     p.testbed = bench::paper_testbed_params(kCaches);
     p.testbed_seed = kSeed;
     p.coordinator_seed = kSeed + 1;
-    p.scheme = core::SchemeKind::kSdsl;
-    p.config = bench::paper_scheme_config();
+    p.scheme = sdsl;
     p.group_count = kGroups;
     p.sim = bench::paper_sim_config();
     p.sim.beacons_per_group = beacons;

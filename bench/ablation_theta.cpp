@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     p.testbed = bench::paper_testbed_params(kCaches);
     p.testbed_seed = kSeed;
     p.coordinator_seed = kSeed + 1 + i;
-    p.scheme = core::SchemeKind::kSdsl;
-    p.config = bench::paper_scheme_config();
-    p.config.theta = thetas[i];
+    core::SchemeConfig config = bench::paper_scheme_config();
+    config.theta = thetas[i];
+    p.scheme = std::make_shared<const core::SdslScheme>(config);
     p.group_count = kGroups;
     p.sim = bench::paper_sim_config();
     points.push_back(std::move(p));

@@ -25,14 +25,15 @@ int main(int argc, char** argv) {
   std::cout << "Fig. 3 — avg latency vs avg group size (N=500, SL scheme)\n";
   const core::TestbedParams params = bench::paper_testbed_params(kCaches);
 
+  const auto sl =
+      std::make_shared<const core::SlScheme>(bench::paper_scheme_config());
   std::vector<core::SweepPoint> points;
   for (const std::size_t k : k_values) {
     core::SweepPoint p;
     p.testbed = params;
     p.testbed_seed = kSeed;
     p.coordinator_seed = kSeed + 1 + k;
-    p.scheme = core::SchemeKind::kSl;
-    p.config = bench::paper_scheme_config();
+    p.scheme = sl;
     p.group_count = k;
     p.sim = bench::paper_sim_config();
     points.push_back(std::move(p));

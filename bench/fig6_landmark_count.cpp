@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
       p.testbed_seed = kSeed;
       p.probing = probing;
       p.coordinator_seed = kSeed + 1 + landmarks;
-      p.scheme = core::SchemeKind::kSl;
-      p.config = bench::paper_scheme_config();
-      p.config.selector = selector;
-      p.config.num_landmarks = landmarks;
+      core::SchemeConfig config = bench::paper_scheme_config();
+      config.selector = selector;
+      config.num_landmarks = landmarks;
+      p.scheme = std::make_shared<const core::SlScheme>(config);
       p.group_count = 10;
       p.formation_runs = kRuns;
       p.simulate = false;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         p.testbed = bench::paper_testbed_params(n);
         p.testbed_seed = kSeed + n;
         p.coordinator_seed = kSeed + n * 100 + static_cast<std::uint64_t>(pct);
-        p.scheme_instance = scheme;
+        p.scheme = scheme;
         p.group_count = n * pct / 100;
         p.sim = bench::paper_sim_config();
         points.push_back(std::move(p));

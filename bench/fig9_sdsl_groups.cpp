@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       p.testbed = bench::paper_testbed_params(kCaches);
       p.testbed_seed = kSeed;
       p.coordinator_seed = kSeed + 1 + k;
-      p.scheme_instance = scheme;
+      p.scheme = scheme;
       p.group_count = k;
       p.sim = bench::paper_sim_config();
       points.push_back(std::move(p));

@@ -81,8 +81,10 @@ void run_generated_network() {
   core::GfCoordinator coordinator(testbed.network, net::ProberOptions{},
                                   /*seed=*/99);
   util::Table table({"scheme", "avg GICost (ms)", "avg latency (ms)"});
-  for (const auto kind : {core::SchemeKind::kSl, core::SchemeKind::kSdsl}) {
-    const auto scheme = core::make_scheme(kind);
+  const core::SlScheme sl;
+  const core::SdslScheme sdsl;
+  const core::GroupingScheme* const schemes[] = {&sl, &sdsl};
+  for (const core::GroupingScheme* scheme : schemes) {
     const auto result = coordinator.run(*scheme, 10);
     const double gicost =
         coordinator.average_group_interaction_cost(result);

@@ -18,6 +18,7 @@
 #include "core/grouping_io.h"
 #include "obs/export.h"
 #include "obs/session.h"
+#include "schemes/registry.h"
 #include "sim/message_engine.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -28,7 +29,9 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.define("caches", "number of edge caches", "200");
   flags.define("groups", "number of cooperative groups", "20");
-  flags.define("scheme", "grouping scheme: sl | sdsl", "sdsl");
+  const schemes::SchemeRegistry& registry = schemes::SchemeRegistry::builtin();
+  flags.define("scheme", "grouping scheme: " + registry.names_joined(),
+               "sdsl");
   flags.define("theta", "SDSL server-distance exponent", "2.0");
   flags.define("landmarks", "number of landmarks (L)", "25");
   flags.define("seed", "master seed", "7");
@@ -59,6 +62,11 @@ int main(int argc, char** argv) {
 
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.help(argv[0]);
+    return 2;
+  }
+  if (!registry.contains(flags.get("scheme"))) {
+    std::cerr << "replay: unknown scheme '" << flags.get("scheme")
+              << "'; registered schemes: " << registry.names_joined() << "\n";
     return 2;
   }
 
@@ -111,9 +119,7 @@ int main(int argc, char** argv) {
     config.num_landmarks =
         static_cast<std::size_t>(flags.get_int("landmarks"));
     config.theta = flags.get_double("theta");
-    const auto kind = flags.get("scheme") == "sl" ? core::SchemeKind::kSl
-                                                  : core::SchemeKind::kSdsl;
-    const auto scheme = core::make_scheme(kind, config);
+    const auto scheme = registry.make(flags.get("scheme"), config);
     core::GfCoordinator coordinator(testbed.network, net::ProberOptions{},
                                     seed + 1);
     const auto result = coordinator.run(

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     p.testbed = params;
     p.testbed_seed = seed;
     p.coordinator_seed = seed + 1;
-    p.scheme_instance = v.scheme;
+    p.scheme = v.scheme;
     p.group_count = groups;
     p.sim = sim_config;
     points.push_back(std::move(p));

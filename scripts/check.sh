@@ -317,7 +317,8 @@ rm -f "$perf_json"
 # Live-mode smoke: a real multi-process run — the coordinator plus four
 # live_member OS processes rendezvous over a loopback socket, then the
 # SAME binary replays the RunSpec through the sequential simulator
-# (--oracle) and the two reports must compare byte for byte. This is the
+# (--oracle) and the two reports and the two event traces must compare
+# byte for byte. This is the
 # distributed-mode determinism contract (docs/live_mode.md); the python
 # gate also asserts the run actually did work (requests served, group
 # hits observed) so an empty-but-equal pair can't pass. Sandboxes that
@@ -337,7 +338,7 @@ else
   live_ok=1
   ./build/examples/live_coordinator "${live_spec[@]}" --members=4 \
     --port-file="$live_dir/port" --report-out="$live_dir/live.jsonl" \
-    >"$live_dir/coordinator.log" 2>&1 &
+    --trace-out="$live_dir/live.trace" >"$live_dir/coordinator.log" 2>&1 &
   live_coord_pid=$!
   live_member_pids=()
   for i in 1 2 3 4; do
@@ -350,7 +351,8 @@ else
     wait "$pid" || live_ok=0
   done
   ./build/examples/live_coordinator "${live_spec[@]}" --oracle \
-    --report-out="$live_dir/oracle.jsonl" >/dev/null 2>&1 || live_ok=0
+    --report-out="$live_dir/oracle.jsonl" \
+    --trace-out="$live_dir/oracle.trace" >/dev/null 2>&1 || live_ok=0
   if [[ "$live_ok" != "1" ]]; then
     echo "!! live smoke: a process exited nonzero" >&2
     sed -e 's/^/  coordinator: /' "$live_dir/coordinator.log" >&2 || true
@@ -373,6 +375,16 @@ PYGATE
   else
     cmp -s "$live_dir/live.jsonl" "$live_dir/oracle.jsonl" \
       || { echo "!! live report diverged from the oracle" >&2; fail=1; }
+  fi
+  if [[ "$live_ok" == "1" ]]; then
+    if [[ -s "$live_dir/live.trace" ]] &&
+       cmp -s "$live_dir/live.trace" "$live_dir/oracle.trace"; then
+      echo "live smoke trace OK ($(wc -l <"$live_dir/live.trace") events," \
+           "byte-identical to the oracle)"
+    else
+      echo "!! live trace diverged from the oracle (or is empty)" >&2
+      fail=1
+    fi
   fi
   rm -rf "$live_dir"
 fi

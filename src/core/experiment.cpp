@@ -7,17 +7,6 @@
 
 namespace ecgf::core {
 
-std::unique_ptr<GroupingScheme> make_scheme(SchemeKind kind,
-                                            SchemeConfig config) {
-  switch (kind) {
-    case SchemeKind::kSl:
-      return std::make_unique<SlScheme>(std::move(config));
-    case SchemeKind::kSdsl:
-      return std::make_unique<SdslScheme>(std::move(config));
-  }
-  throw util::ContractViolation("unknown SchemeKind");
-}
-
 namespace {
 
 /// Network construction shared by make_testbed and make_testbed_network;

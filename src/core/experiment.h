@@ -16,15 +16,6 @@
 
 namespace ecgf::core {
 
-/// The paper's two schemes. This enum factory predates the string-keyed
-/// schemes::SchemeRegistry (src/schemes/registry.h), which subsumes it —
-/// the registry also serves the random baseline and the comparator
-/// schemes; new call sites should resolve schemes there by name.
-enum class SchemeKind { kSl, kSdsl };
-
-std::unique_ptr<GroupingScheme> make_scheme(SchemeKind kind,
-                                            SchemeConfig config = {});
-
 /// A complete, self-consistent experimental testbed.
 struct Testbed {
   EdgeNetwork network;

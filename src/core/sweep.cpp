@@ -35,6 +35,7 @@ std::vector<SweepPointResult> SweepRunner::run(
   std::vector<SweepPointResult> results(points.size());
   if (points.empty()) return results;
   for (const SweepPoint& p : points) {
+    ECGF_EXPECTS(p.scheme != nullptr);
     ECGF_EXPECTS(p.formation_runs >= 1);
     ECGF_EXPECTS(p.group_count >= 1);
   }
@@ -89,13 +90,8 @@ std::vector<SweepPointResult> SweepRunner::run(
     // run() calls, so sharing one between points would make results depend
     // on evaluation order.
     GfCoordinator coordinator(slot.network(), p.probing, p.coordinator_seed);
-    const std::unique_ptr<GroupingScheme> owned =
-        p.scheme_instance != nullptr ? nullptr
-                                     : make_scheme(p.scheme, p.config);
-    const GroupingScheme& scheme =
-        p.scheme_instance != nullptr ? *p.scheme_instance : *owned;
     for (std::size_t run = 0; run < p.formation_runs; ++run) {
-      out.grouping = coordinator.run(scheme, p.group_count, &trace);
+      out.grouping = coordinator.run(*p.scheme, p.group_count, &trace);
       out.gicost_ms.add(coordinator.average_group_interaction_cost(
           out.grouping, p.gicost_transfer_ms));
     }

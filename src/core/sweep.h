@@ -43,15 +43,12 @@ struct SweepPoint {
   net::ProberOptions probing;
   std::uint64_t coordinator_seed = 2007;
 
-  SchemeKind scheme = SchemeKind::kSl;
-  SchemeConfig config;
-
-  /// Registry-era scheme selection: when set, the point runs this instance
-  /// and `scheme`/`config` above are ignored. Schemes are immutable after
+  /// The scheme to run; required. Schemes are immutable after
   /// construction (form_groups is const), so one instance may be shared by
-  /// any number of points across the pool — e.g.
-  /// `schemes::SchemeRegistry::builtin().make(name)` converted to shared.
-  std::shared_ptr<const GroupingScheme> scheme_instance;
+  /// any number of points across the pool — a directly constructed
+  /// SlScheme/SdslScheme, or `schemes::SchemeRegistry::builtin().make(name)`
+  /// converted to shared.
+  std::shared_ptr<const GroupingScheme> scheme;
 
   std::size_t group_count = 1;
 

@@ -1,8 +1,8 @@
 #include "live/coordinator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -14,24 +14,6 @@ namespace ecgf::live {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Local mirror of the member-side capture sink (member.cpp): applies a
-/// barrier on the coordinator's own replica while capturing the emitted
-/// trace event instead of forwarding it — the coordinator re-emits the
-/// invalidation event itself with the GLOBAL holder count summed from the
-/// member acks (its own replica ran no window events, so its directories
-/// hold nothing).
-struct CaptureSink final : sim::EffectSink {
-  bool captured = false;
-  obs::TraceEvent event{};
-  void emit(const obs::TraceEvent& e) override {
-    captured = true;
-    event = e;
-  }
-  void record(cache::CacheIndex, double, sim::Resolution,
-              sim::SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
-};
 
 }  // namespace
 
@@ -213,35 +195,18 @@ double Coordinator::earliest_pending() const {
   return e;
 }
 
-void Coordinator::adapt_epoch(std::size_t exchanged) {
-  // Same rule as shard::ShardedSimulator::adapt_epoch. The cut schedule
-  // never affects output bytes (group-aligned barriers carry all
-  // cross-member influence); it only trades frame count against effect
-  // batch size on the wire.
-  if (spec_.adaptive_epoch == 0 || spec_.epoch_ms > 0.0) return;
-  if (exchanged == 0) {
-    epoch_ms_ = std::min(epoch_ms_ * 4.0, spec_.epoch_cap_ms);
-  } else if (exchanged < spec_.effect_batch_target) {
-    epoch_ms_ = std::min(epoch_ms_ * 2.0, spec_.epoch_cap_ms);
-  } else if (exchanged > 4 * spec_.effect_batch_target) {
-    epoch_ms_ = std::max(epoch_ms_ / 2.0, epoch_initial_ms_);
-  }
-}
-
-void Coordinator::run_windows(double cut, bool inclusive,
-                              LiveRunResult& result) {
+void Coordinator::run_windows(const shard::Cut& cut, LiveRunResult& result) {
   // Dispatch only members with pending work in the window (same predicate
   // as the sharded driver), then gather their effect batches. A member
   // that fails at either step is marked dead and queued for the graceful
   // leave pass; the run continues with the survivors.
   std::vector<std::size_t> dispatched;
   Writer w;
-  w.f64(cut);
-  w.u8(inclusive ? 1 : 0);
+  w.f64(cut.time_ms);
+  w.u8(cut.inclusive() ? 1 : 0);
   for (std::size_t i = 0; i < members_.size(); ++i) {
     Member& m = members_[i];
-    if (!m.alive) continue;
-    if (!(inclusive ? m.earliest <= cut : m.earliest < cut)) continue;
+    if (!m.alive || !cut.covers(m.earliest)) continue;
     try {
       m.sock.send_frame(MsgType::kWindow, w.bytes());
       dispatched.push_back(i);
@@ -271,7 +236,8 @@ void Coordinator::run_windows(double cut, bool inclusive,
   }
 }
 
-void Coordinator::execute_barrier(const Barrier& b, LiveRunResult& result) {
+void Coordinator::execute_barrier(const shard::Barrier& b,
+                                  LiveRunResult& result) {
   const double t = b.time_ms;
   BarrierMsg msg;
   msg.time_ms = t;
@@ -445,7 +411,7 @@ LiveRunResult Coordinator::run() {
       sim_config_for(spec_, groups));
   metrics_ = std::make_unique<sim::MetricsCollector>(spec_.cache_count);
   metrics_->set_warmup_end(spec_.duration_ms * spec_.warmup_fraction);
-  coord_sink_ = std::make_unique<Sink>(*this);
+  coord_sink_.emplace(trace_, *metrics_, /*hook=*/nullptr);
   sinks_.clear();
   sinks_.resize(members_.size());
   shard::ShardPlan plan(engine_->groups(), engine_->cache_count(),
@@ -454,92 +420,37 @@ LiveRunResult Coordinator::run() {
   for (std::uint32_t c = 0; c < spec_.cache_count; ++c) {
     cache_owner_[c] = plan.shard_of_cache(c);
   }
-  if (spec_.epoch_ms > 0.0) {
-    epoch_ms_ = spec_.epoch_ms;
-  } else {
-    double lookahead = shard::min_cross_shard_rtt_ms(
-        plan, engine_->rtt(), engine_->cache_count(), /*exact_limit=*/4096,
-        [this](cache::CacheIndex c) { return !engine_->is_down(c); });
-    if (!std::isfinite(lookahead)) lookahead = spec_.epoch_cap_ms;
-    epoch_ms_ = std::clamp(lookahead, spec_.epoch_floor_ms, spec_.epoch_cap_ms);
-  }
-  epoch_initial_ms_ = epoch_ms_;
-
-  // Barrier schedule in canonical (time, EventClass, key) order — the
-  // order the sequential driver's keyed queue pops these events in. Live
-  // v1 has no control hook and runs the beacon directory, so failures,
-  // membership and updates are the whole schedule.
-  const std::vector<workload::Update>& updates = world_->workload->updates();
-  const auto& config = engine_->config();
-  std::vector<Barrier> barriers;
-  for (std::size_t f = 0; f < config.failures.size(); ++f) {
-    barriers.push_back(
-        Barrier{config.failures[f].time_ms, sim::EventClass::kFailure, f, f});
-  }
-  for (std::size_t m = 0; m < config.membership_events.size(); ++m) {
-    barriers.push_back(Barrier{config.membership_events[m].time_ms,
-                               sim::EventClass::kMembership, m, m});
-  }
-  for (std::size_t u = 0; u < updates.size(); ++u) {
-    barriers.push_back(
-        Barrier{updates[u].time_ms, sim::EventClass::kUpdate, u, u});
-  }
-  std::sort(barriers.begin(), barriers.end(),
-            [](const Barrier& a, const Barrier& b) {
-              if (a.time_ms != b.time_ms) return a.time_ms < b.time_ms;
-              if (a.klass != b.klass) return a.klass < b.klass;
-              return a.key < b.key;
-            });
-
-  const double horizon = spec_.duration_ms + 60'000.0;
-  double now = 0.0;
-  std::size_t bpos = 0;
+  // Live runs hookless on the beacon directory, so failures, membership
+  // and updates are the whole barrier list.
+  shard::EpochSchedule schedule(engine_->config(),
+                                world_->workload->updates(),
+                                spec_.duration_ms, spec_.epoch_ms);
+  schedule.reset_width(plan, *engine_);
   events_executed_ = 0;
   requests_executed_ = 0;
   invalidations_total_ = 0;
 
-  // The conservative-PDES loop of shard::ShardedSimulator::run, with the
-  // windows running in other processes. An all-dead membership drives
+  // The cut loop of shard::ShardedSimulator::run, with the windows
+  // running in other processes. An all-dead membership drives
   // earliest_pending to +inf, which makes the very next cut the final
   // drain — a kill can degrade the run but never hang it.
   for (;;) {
-    const bool have_barrier = bpos < barriers.size();
-    const double bt = have_barrier ? barriers[bpos].time_ms : kInf;
-    const double earliest = earliest_pending();
-    const double epoch_target =
-        earliest == kInf ? kInf : std::max(now, earliest) + epoch_ms_;
-    double cut;
-    bool barrier_cut = false;
-    bool final_cut = false;
-    if (have_barrier && bt <= epoch_target) {
-      cut = bt;
-      barrier_cut = true;
-    } else if (epoch_target <= horizon) {
-      cut = epoch_target;
-    } else {
-      cut = horizon;
-      final_cut = true;
-    }
-
-    run_windows(cut, final_cut, result);
+    const shard::Cut cut = schedule.next_cut(earliest_pending());
+    run_windows(cut, result);
     const std::size_t exchanged = shard::total_buffered_effects(sinks_);
     if (exchanged != 0) {
       shard::merge_and_replay(sinks_, *coord_sink_, merge_scratch_);
     }
     ++result.cuts;
-    now = cut;
-    if (!barrier_cut && !final_cut) adapt_epoch(exchanged);
-    if (!newly_dead_.empty()) depart_dead_members(now, result);
-
-    if (barrier_cut) {
-      while (bpos < barriers.size() && barriers[bpos].time_ms == bt) {
-        execute_barrier(barriers[bpos], result);
-        ++bpos;
-        ++events_executed_;
-      }
-      if (!newly_dead_.empty()) depart_dead_members(bt, result);
+    const std::span<const shard::Barrier> due =
+        schedule.commit(cut, exchanged);
+    if (!newly_dead_.empty()) depart_dead_members(cut.time_ms, result);
+    for (const shard::Barrier& b : due) {
+      execute_barrier(b, result);
+      ++events_executed_;
     }
-    if (final_cut) break;
+    if (!newly_dead_.empty()) depart_dead_members(cut.time_ms, result);
+    if (cut.kind == shard::Cut::Kind::kFinal) break;
   }
 
   // Flush: gather the commutative tallies and the invalidation totals.

@@ -2,10 +2,10 @@
 //
 // Accepts N member connections, hands each the RunSpec, drives probing /
 // formation / transport qualification, then runs the conservative-PDES
-// schedule of shard::ShardedSimulator with the shards living in OTHER
-// PROCESSES: windows go out as kWindow frames, members ship back their
-// buffered effects, and the coordinator replays the identical k-way merge
-// into its metrics collector and trace stream. Barriers broadcast to
+// schedule of shard::ShardedSimulator (shard::EpochSchedule) with the
+// shards living in OTHER PROCESSES: windows go out as kWindow frames,
+// members ship back their buffered effects, and the coordinator replays
+// the identical k-way merge into its metrics collector and trace stream. Barriers broadcast to
 // every member so all engine replicas stay in lock-step.
 //
 // Determinism contract (docs/live_mode.md): on a fixed RunSpec, run()'s
@@ -29,6 +29,7 @@
 #include "net/rtt_provider.h"
 #include "obs/trace.h"
 #include "shard/exchange.h"
+#include "shard/schedule.h"
 #include "sim/config.h"
 #include "sim/engine.h"
 #include "sim/metrics.h"
@@ -116,34 +117,6 @@ class Coordinator {
     double earliest = 0.0;  ///< head event time from the last kEffects
   };
 
-  /// Coordinator-side sink: metrics + trace applied immediately (the
-  /// target of every per-cut merge and of barrier events).
-  class Sink final : public sim::EffectSink {
-   public:
-    explicit Sink(Coordinator& host) : host_(host) {}
-    void emit(const obs::TraceEvent& event) override {
-      host_.trace_.emit(event);
-    }
-    void record(cache::CacheIndex cache, double latency_ms,
-                sim::Resolution how, sim::SimTime t) override {
-      host_.metrics_->set_now(t);
-      host_.metrics_->record(cache, latency_ms, how);
-    }
-    void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {
-      // Live v1 runs without a control hook; nothing consumes these.
-    }
-
-   private:
-    Coordinator& host_;
-  };
-
-  struct Barrier {
-    double time_ms;
-    sim::EventClass klass;
-    std::uint64_t key;
-    std::size_t index;
-  };
-
   void accept_members(LiveRunResult& result);
   /// Send to every alive member; a send failure marks the member dead.
   void broadcast(MsgType type, const std::vector<std::uint8_t>& payload);
@@ -153,13 +126,12 @@ class Coordinator {
   /// Setup phases run with the full quorum: any dead member aborts.
   void require_all_alive(const char* phase) const;
   void run_qualify(LiveRunResult& result);
-  void run_windows(double cut, bool inclusive, LiveRunResult& result);
-  void execute_barrier(const Barrier& b, LiveRunResult& result);
+  void run_windows(const shard::Cut& cut, LiveRunResult& result);
+  void execute_barrier(const shard::Barrier& b, LiveRunResult& result);
   /// Map a freshly dead member's caches onto graceful departures at
   /// logical time `t` (synthetic kBarrier broadcasts + local apply).
   void depart_dead_members(double t, LiveRunResult& result);
   double earliest_pending() const;
-  void adapt_epoch(std::size_t exchanged);
   void mark_dead(std::size_t m);
 
   RunSpec spec_;
@@ -172,11 +144,9 @@ class Coordinator {
   std::unique_ptr<sim::ShardableEngine> engine_;
   std::unique_ptr<sim::MetricsCollector> metrics_;
   std::vector<shard::ShardSink> sinks_;  ///< restore() targets, one per member
-  std::unique_ptr<Sink> coord_sink_;
+  std::optional<shard::ReplaySink> coord_sink_;
   shard::MergeScratch merge_scratch_;
   std::vector<std::size_t> cache_owner_;  ///< cache → member (shard plan)
-  double epoch_ms_ = 0.0;
-  double epoch_initial_ms_ = 0.0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
   std::uint64_t invalidations_total_ = 0;  ///< summed member deltas

@@ -1,7 +1,5 @@
 #include "live/member.h"
 
-#include <algorithm>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,39 +14,10 @@ namespace ecgf::live {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 // Seeds the qualification workload's own RNG stream — independent of the
 // catalog/workload/formation streams so the transport check never
 // perturbs the run it is qualifying.
 constexpr std::uint64_t kQualifySalt = 0x7175616C6966796Cull;  // "qualifyl"
-
-/// Barrier effects on member replicas are discarded: the coordinator owns
-/// the real metrics collector and trace stream, and replays the canonical
-/// merge itself. Members apply barriers only to keep shared STATE (origin
-/// versions, down flags, departures) identical across replicas.
-struct NullSink final : sim::EffectSink {
-  void emit(const obs::TraceEvent&) override {}
-  void record(cache::CacheIndex, double, sim::Resolution,
-              sim::SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
-};
-
-/// Update barriers need one number back out: the engine announces the
-/// holder count inside the invalidation trace event it emits, so the
-/// member captures that event (discarding everything else) and ships the
-/// count in its BarrierAck.
-struct CaptureSink final : sim::EffectSink {
-  bool captured = false;
-  obs::TraceEvent event{};
-  void emit(const obs::TraceEvent& e) override {
-    captured = true;
-    event = e;
-  }
-  void record(cache::CacheIndex, double, sim::Resolution,
-              sim::SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
-};
 
 Frame recv_expect(Socket& sock, MsgType want, double timeout_ms) {
   Frame f = sock.recv_frame(timeout_ms);
@@ -120,15 +89,14 @@ int MemberProcess::run() {
       auto streams = world_->workload->partition(
           member_count_,
           [&plan](std::uint32_t c) { return plan.shard_of_cache(c); }, 0.0);
-      source_ = std::move(streams[member_id_]);
-      completions_.clear();
+      lane_.emplace(std::move(streams[member_id_]));
       // Same buffering filters the sharded driver applies to its shard
       // sinks: traces only when the coordinator has a sink to replay them
       // into, RTT observations never (live v1 runs hookless).
       sink_.set_trace_buffering(spec_.trace_on != 0);
       sink_.set_rtt_buffering(false);
       Writer w;
-      w.f64(earliest());
+      w.f64(lane_->earliest());
       sock.send_frame(MsgType::kFormationAck, w.take());
       return serve(sock);
     } else if (f.type == MsgType::kStop) {
@@ -151,12 +119,18 @@ int MemberProcess::serve(Socket& sock) {
     switch (f.type) {
       case MsgType::kWindow: {
         Reader r(f.payload);
-        const double cut = r.f64();
-        const bool inclusive = r.u8() != 0;
+        // Only the window bound crosses the wire: an inclusive window is
+        // the final drain, any other runs like an epoch window.
+        shard::Cut cut;
+        cut.time_ms = r.f64();
+        if (r.u8() != 0) cut.kind = shard::Cut::Kind::kFinal;
         r.done();
+        const shard::WindowCount count =
+            lane_->run_window(cut, *engine_, sink_);
         EffectsBatch batch;
-        run_window(cut, inclusive, batch);
-        batch.earliest_pending = earliest();
+        batch.executed = count.executed;
+        batch.arrivals = count.arrivals;
+        batch.earliest_pending = lane_->earliest();
         batch.effects = sink_.effects();
         sock.send_frame(MsgType::kEffects, encode_effects(batch));
         sink_.clear();
@@ -206,45 +180,6 @@ int MemberProcess::serve(Socket& sock) {
   }
 }
 
-void MemberProcess::run_window(double cut, bool inclusive, EffectsBatch& out) {
-  // The exact shard window loop (shard::ShardedSimulator::run_windows):
-  // peek-only streams, completion-first tie-break (kCompletion sorts
-  // before kArrival at equal times), exclusive cut except the final drain.
-  for (;;) {
-    const double at = source_->peek_time_ms();
-    const bool have_a = at < kInf;
-    const bool have_c = !completions_.empty();
-    if (!have_a && !have_c) break;
-    bool take_completion;
-    if (have_c && have_a) {
-      take_completion = completions_.front().c.time <= at;
-    } else {
-      take_completion = have_c;
-    }
-    const double t = take_completion ? completions_.front().c.time : at;
-    if (inclusive ? t > cut : t >= cut) break;
-    if (take_completion) {
-      std::pop_heap(completions_.begin(), completions_.end(),
-                    CompletionGreater{});
-      const sim::Completion c = completions_.back().c;
-      completions_.pop_back();
-      sink_.begin_event(c.time, sim::EventClass::kCompletion, c.request_index);
-      engine_->on_complete(c, sink_);
-    } else {
-      workload::Request r;
-      std::uint64_t key = 0;
-      source_->next(r, key);
-      sink_.begin_event(r.time_ms, sim::EventClass::kArrival, key);
-      const sim::Completion c = engine_->on_request(key, r, r.time_ms, sink_);
-      completions_.push_back(PendingCompletion{c});
-      std::push_heap(completions_.begin(), completions_.end(),
-                     CompletionGreater{});
-      ++out.arrivals;
-    }
-    ++out.executed;
-  }
-}
-
 BarrierAck MemberProcess::apply_barrier(const BarrierMsg& b) {
   BarrierAck ack;
   const auto& config = engine_->config();
@@ -254,8 +189,8 @@ BarrierAck MemberProcess::apply_barrier(const BarrierMsg& b) {
       if (b.synth != 0 || b.index >= config.failures.size()) {
         throw LiveError("kBarrier failure index out of range");
       }
-      NullSink null;
-      engine_->on_failure(config.failures[b.index].cache, t, null);
+      CaptureSink discard;
+      engine_->on_failure(config.failures[b.index].cache, t, discard);
       ack.applied = 1;
       break;
     }
@@ -274,12 +209,13 @@ BarrierAck MemberProcess::apply_barrier(const BarrierMsg& b) {
         }
         change = config.membership_events[b.index];
       }
-      NullSink null;
+      CaptureSink discard;
       if (change.kind == sim::MembershipChange::Kind::kLeave) {
-        ack.applied = engine_->on_leave(change.cache, t, null) ? 1 : 0;
+        ack.applied = engine_->on_leave(change.cache, t, discard) ? 1 : 0;
       } else {
         std::uint32_t group = 0;
-        ack.applied = engine_->on_join(change.cache, t, null, &group) ? 1 : 0;
+        ack.applied =
+            engine_->on_join(change.cache, t, discard, &group) ? 1 : 0;
       }
       break;
     }
@@ -356,12 +292,6 @@ void MemberProcess::qualify(Socket& sock) {
   w.u64(mirrored.messages_sent);
   w.u64(ex.mirrored_bytes());
   sock.send_frame(MsgType::kQualifyAck, w.take());
-}
-
-double MemberProcess::earliest() const {
-  double e = source_->peek_time_ms();
-  if (!completions_.empty()) e = std::min(e, completions_.front().c.time);
-  return e;
 }
 
 }  // namespace ecgf::live

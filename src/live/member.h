@@ -10,8 +10,8 @@
 //                    and its workload stream slice (its shard)
 //   * kQualify     — member 0 only: run the SocketExchange transport check
 //   * kWindow      — execute its shard's events up to the cut and ship the
-//                    buffered effects back (the exact window loop of
-//                    shard::ShardedSimulator::run_windows)
+//                    buffered effects back (shard::ShardLane, the window
+//                    loop of the in-process sharded driver)
 //   * kBarrier     — apply one shared-state event on its LOCAL replica so
 //                    origin versions / down flags / departures stay in
 //                    sync with every other process
@@ -34,6 +34,7 @@
 #include "live/sock.h"
 #include "live/wire.h"
 #include "shard/exchange.h"
+#include "shard/lane.h"
 #include "sim/engine.h"
 #include "workload/stream.h"
 
@@ -66,37 +67,13 @@ class MemberProcess {
   std::uint64_t windows_run() const { return windows_run_; }
 
  private:
-  // Mirrors of ShardedSimulator's private completion-heap types: a member
-  // IS one shard, so it orders pending completions by the identical
-  // canonical key.
-  struct PendingCompletion {
-    sim::Completion c;
-    friend bool operator<(const PendingCompletion& a,
-                          const PendingCompletion& b) {
-      if (a.c.time != b.c.time) return a.c.time < b.c.time;
-      return a.c.request_index < b.c.request_index;
-    }
-  };
-  struct CompletionGreater {
-    bool operator()(const PendingCompletion& a,
-                    const PendingCompletion& b) const {
-      return b < a;
-    }
-  };
-
   /// Serving loop after formation; returns the process exit code.
   int serve(Socket& sock);
-  /// The exact shard window loop: execute every owned event strictly
-  /// before `cut` (at or before for the inclusive final drain), buffering
-  /// effects into sink_.
-  void run_window(double cut, bool inclusive, EffectsBatch& out);
   BarrierAck apply_barrier(const BarrierMsg& b);
   /// Transport qualification (member 0): the same mini message-level run
   /// through DirectExchange and through SocketExchange mirroring onto
   /// `sock`; replies kQualifyAck{ok, frames, messages, bytes}.
   void qualify(Socket& sock);
-  /// Earliest pending owned event (+inf when drained).
-  double earliest() const;
 
   MemberOptions options_;
   std::uint32_t member_id_ = 0;
@@ -105,8 +82,7 @@ class MemberProcess {
   RunSpec spec_;
   std::optional<World> world_;
   std::unique_ptr<sim::ShardableEngine> engine_;
-  std::unique_ptr<workload::RequestSource> source_;
-  std::vector<PendingCompletion> completions_;  ///< min-heap (std::*_heap)
+  std::optional<shard::ShardLane> lane_;  ///< this member's shard
   shard::ShardSink sink_;
 };
 

@@ -177,10 +177,6 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& s) {
     w.f64(m.time_ms);
   }
   w.f64(s.epoch_ms);
-  w.f64(s.epoch_floor_ms);
-  w.f64(s.epoch_cap_ms);
-  w.u8(s.adaptive_epoch);
-  w.u64(s.effect_batch_target);
   w.u8(s.trace_on);
   w.u8(s.qualify);
   return w.take();
@@ -229,10 +225,6 @@ RunSpec decode_run_spec(const std::vector<std::uint8_t>& payload) {
     m.time_ms = r.f64();
   }
   s.epoch_ms = r.f64();
-  s.epoch_floor_ms = r.f64();
-  s.epoch_cap_ms = r.f64();
-  s.adaptive_epoch = r.u8();
-  s.effect_batch_target = r.u64();
   s.trace_on = r.u8();
   s.qualify = r.u8();
   r.done();
@@ -279,13 +271,7 @@ RunSpec decode_run_spec(const std::vector<std::uint8_t>& payload) {
     }
     if (!(m.time_ms >= 0.0)) fail("RunSpec: membership time must be >= 0");
   }
-  if (!(s.epoch_ms >= 0.0) || !(s.epoch_floor_ms > 0.0) ||
-      !(s.epoch_cap_ms >= s.epoch_floor_ms)) {
-    fail("RunSpec: bad epoch bounds");
-  }
-  if (s.effect_batch_target == 0) {
-    fail("RunSpec: effect_batch_target must be positive");
-  }
+  if (!(s.epoch_ms >= 0.0)) fail("RunSpec: epoch_ms must be >= 0");
   return s;
 }
 

@@ -48,7 +48,7 @@ class LiveError : public std::runtime_error {
 };
 
 constexpr std::uint32_t kWireMagic = 0x46474345u;  // "ECGF" little-endian
-constexpr std::uint16_t kWireVersion = 1;
+constexpr std::uint16_t kWireVersion = 2;
 /// Hard cap on a frame payload: large enough for any effect batch a smoke
 /// or bench run produces, small enough that a corrupt length field cannot
 /// make the receiver allocate the moon.
@@ -188,12 +188,9 @@ struct RunSpec {
   double ttl_ms = 30'000.0;
   std::vector<sim::SimulationConfig::CacheFailure> failures;
   std::vector<sim::MembershipChange> membership;
-  // Epoch control (shard::ShardOptions subset; same adaptation rule).
+  // Fixed epoch width (shard::ShardOptions::epoch_ms); 0 = derived and
+  // adaptive (shard::EpochSchedule).
   double epoch_ms = 0.0;
-  double epoch_floor_ms = 1.0;
-  double epoch_cap_ms = 1'000.0;
-  std::uint8_t adaptive_epoch = 1;
-  std::uint64_t effect_batch_target = 8192;
   // Set by the coordinator before broadcast: members buffer trace effects
   // only when the coordinator has a trace sink to replay them into (the
   // same filter the sharded driver applies to its shard sinks).

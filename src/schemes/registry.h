@@ -1,7 +1,6 @@
 // SchemeRegistry — the string-keyed factory for every grouping scheme.
 //
-// Subsumes core::make_scheme (which only knows the paper's SL/SDSL enum):
-// benches, examples, and tools resolve schemes by name here, so a new
+// Benches, examples, and tools resolve schemes by name here, so a new
 // scheme registers once and is immediately selectable everywhere a
 // `--scheme=<name>` flag is parsed. Built-in keys:
 //

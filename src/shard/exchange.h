@@ -21,8 +21,10 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "sim/control.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "sim/metrics.h"
 
 namespace ecgf::shard {
 
@@ -139,6 +141,33 @@ class ShardSink final : public sim::EffectSink {
   EffectKey current_{};
   bool buffer_traces_ = true;
   bool buffer_rtt_ = true;
+};
+
+/// The coordinator-side sink of both parallel drivers: applies effects to
+/// the run's real consumers the moment they arrive. It is the target of
+/// every per-cut merge and of barrier events. `hook` may be null (no
+/// control plane; RTT observations are then dropped).
+class ReplaySink final : public sim::EffectSink {
+ public:
+  ReplaySink(obs::TraceContext& trace, sim::MetricsCollector& metrics,
+             sim::ControlHook* hook)
+      : trace_(trace), metrics_(metrics), hook_(hook) {}
+
+  void emit(const obs::TraceEvent& event) override { trace_.emit(event); }
+  void record(cache::CacheIndex cache, double latency_ms, sim::Resolution how,
+              sim::SimTime t) override {
+    metrics_.set_now(t);
+    metrics_.record(cache, latency_ms, how);
+  }
+  void rtt_sample(net::HostId src, net::HostId dst, double rtt_ms,
+                  sim::SimTime t) override {
+    if (hook_ != nullptr) hook_->on_rtt_sample(src, dst, rtt_ms, t);
+  }
+
+ private:
+  obs::TraceContext& trace_;
+  sim::MetricsCollector& metrics_;
+  sim::ControlHook* hook_;
 };
 
 /// Reusable coordinator-side scratch for merge_and_replay, so the

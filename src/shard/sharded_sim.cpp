@@ -1,19 +1,11 @@
 #include "shard/sharded_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "obs/profile.h"
 #include "util/expect.h"
 
 namespace ecgf::shard {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 ShardedSimulator::ShardedSimulator(const cache::Catalog& catalog,
                                    const net::RttProvider& rtt,
@@ -22,19 +14,15 @@ ShardedSimulator::ShardedSimulator(const cache::Catalog& catalog,
                                    ShardOptions options)
     : engine_(catalog, rtt, server, std::move(config)),
       options_(options),
-      plan_(engine_.groups(), engine_.cache_count(), options.shards),
-      coord_sink_(*this) {
+      metrics_(engine_.cache_count()),
+      trace_(engine_.config().trace.active()
+                 ? engine_.config().trace
+                 : obs::TraceContext::root(obs::global_tracer(), 0)),
+      hook_(engine_.config().control_hook),
+      coord_sink_(trace_, metrics_, hook_),
+      plan_(engine_.groups(), engine_.cache_count(), options.shards) {
   ECGF_EXPECTS(options_.shards >= 1);
-  ECGF_EXPECTS(options_.epoch_floor_ms > 0.0);
-  ECGF_EXPECTS(options_.epoch_cap_ms >= options_.epoch_floor_ms);
   ECGF_EXPECTS(options_.epoch_ms >= 0.0);
-  ECGF_EXPECTS(options_.effect_batch_target >= 1);
-  metrics_ = std::make_unique<sim::MetricsCollector>(engine_.cache_count());
-  trace_ = engine_.config().trace;
-  if (!trace_.active()) {
-    trace_ = obs::TraceContext::root(obs::global_tracer(), 0);
-  }
-  hook_ = engine_.config().control_hook;
   resolved_threads_ =
       options_.threads != 0
           ? options_.threads
@@ -64,155 +52,63 @@ void ShardedSimulator::apply_groups(
 void ShardedSimulator::reshard(workload::WorkloadSource& source,
                                double from_ms) {
   plan_ = ShardPlan(engine_.groups(), engine_.cache_count(), options_.shards);
-
-  if (options_.epoch_ms > 0.0) {
-    epoch_ms_ = options_.epoch_ms;
-  } else {
-    // Initial width: the CMB lookahead over the ACTIVE pair set — down and
-    // departed caches generate no cross-shard influence, so they must not
-    // drag the derived width to a floor the live traffic never justifies.
-    // Adaptation then widens from here (adapt_epoch); the derived value is
-    // a starting point, not a ceiling, which is what fixes the epoch-cut
-    // explosion tiny cross-shard RTTs used to cause.
-    double lookahead = min_cross_shard_rtt_ms(
-        plan_, engine_.rtt(), engine_.cache_count(), /*exact_limit=*/4096,
-        [this](cache::CacheIndex c) { return !engine_.is_down(c); });
-    if (!std::isfinite(lookahead)) lookahead = options_.epoch_cap_ms;
-    epoch_ms_ = std::clamp(lookahead, options_.epoch_floor_ms,
-                           options_.epoch_cap_ms);
-  }
-  epoch_initial_ms_ = epoch_ms_;
+  schedule_->reset_width(plan_, engine_);
 
   // In-flight completions survive a reshard: collect and re-home them by
   // their cache's new shard (the engine already re-registered resident
   // documents against the new directories).
   std::vector<sim::Completion> pending;
-  for (const ShardState& s : shards_) {
-    for (const PendingCompletion& pc : s.completions) pending.push_back(pc.c);
+  for (const ShardLane& lane : lanes_) {
+    pending.insert(pending.end(), lane.completions().begin(),
+                   lane.completions().end());
   }
 
   // Re-partition the stream. Arrivals are only ever *peeked* until they
-  // execute, so the source's generator state sits exactly at the executed
-  // prefix: the new per-shard streams continue from there with nothing to
-  // replay (synthetic sources) or re-slice from `from_ms` (trace views).
+  // execute (ShardLane), so the new per-shard streams continue from the
+  // executed prefix with nothing to replay (synthetic sources) or
+  // re-slice from `from_ms` (trace views).
   auto streams = source.partition(
       options_.shards,
       [this](std::uint32_t c) { return plan_.shard_of_cache(c); }, from_ms);
-  shards_.clear();
-  shards_.resize(options_.shards);
-  for (std::size_t si = 0; si < options_.shards; ++si) {
-    shards_[si].source = std::move(streams[si]);
-  }
+  lanes_.clear();
+  for (auto& stream : streams) lanes_.emplace_back(std::move(stream));
   for (const sim::Completion& c : pending) {
-    shards_[plan_.shard_of_cache(c.cache)].completions.push_back(
-        PendingCompletion{c});
-  }
-  for (ShardState& s : shards_) {
-    std::make_heap(s.completions.begin(), s.completions.end(),
-                   CompletionGreater{});
+    lanes_[plan_.shard_of_cache(c.cache)].add_completion(c);
   }
 }
 
 double ShardedSimulator::earliest_pending() const {
-  double e = kInf;
-  for (const ShardState& s : shards_) {
-    // Streams emit in nondecreasing time, so the peeked head is the
-    // minimum; kNoEvent (+inf) marks a drained stream.
-    e = std::min(e, s.source->peek_time_ms());
-    if (!s.completions.empty()) {
-      e = std::min(e, s.completions.front().c.time);
-    }
-  }
+  double e = workload::kNoEvent;
+  for (const ShardLane& lane : lanes_) e = std::min(e, lane.earliest());
   return e;
 }
 
-void ShardedSimulator::run_windows(double cut, bool inclusive) {
+void ShardedSimulator::run_windows(const Cut& cut) {
   // Only shards whose head event falls inside the window are dispatched;
   // idle shards pay nothing at this cut, and an all-idle window never
   // touches the pool (degenerate topologies: one loaded shard, N-1 empty).
   active_.clear();
-  for (std::size_t si = 0; si < shards_.size(); ++si) {
-    const ShardState& s = shards_[si];
-    double head = s.source->peek_time_ms();
-    if (!s.completions.empty()) {
-      head = std::min(head, s.completions.front().c.time);
-    }
-    if (inclusive ? head <= cut : head < cut) active_.push_back(si);
+  for (std::size_t si = 0; si < lanes_.size(); ++si) {
+    if (cut.covers(lanes_[si].earliest())) active_.push_back(si);
   }
   if (active_.empty()) return;
   windows_ += active_.size();
+  active_counts_.resize(active_.size());
 
-  const auto run_shard = [&](std::size_t si) {
-    ShardState& s = shards_[si];
-    ShardSink& sink = sinks_[si];
-    for (;;) {
-      // Peek only: the request is generated (and its per-cache RNG draws
-      // consumed) at the moment it executes, never before — the invariant
-      // reshard() relies on. Streams are shard-private, so pulling from
-      // pool workers is race-free.
-      const double at = s.source->peek_time_ms();
-      const bool have_a = at < kInf;
-      const bool have_c = !s.completions.empty();
-      if (!have_a && !have_c) break;
-      bool take_completion;
-      if (have_c && have_a) {
-        // Canonical tie-break: kCompletion (5) sorts before kArrival (6)
-        // at equal times, so the completion wins ties.
-        take_completion = s.completions.front().c.time <= at;
-      } else {
-        take_completion = have_c;
-      }
-      const double t = take_completion ? s.completions.front().c.time : at;
-      if (inclusive ? t > cut : t >= cut) break;
-      if (take_completion) {
-        std::pop_heap(s.completions.begin(), s.completions.end(),
-                      CompletionGreater{});
-        const sim::Completion c = s.completions.back().c;
-        s.completions.pop_back();
-        sink.begin_event(c.time, sim::EventClass::kCompletion,
-                         c.request_index);
-        engine_.on_complete(c, sink);
-      } else {
-        workload::Request r;
-        std::uint64_t key = 0;
-        s.source->next(r, key);
-        sink.begin_event(r.time_ms, sim::EventClass::kArrival, key);
-        const sim::Completion c = engine_.on_request(key, r, r.time_ms, sink);
-        s.completions.push_back(PendingCompletion{c});
-        std::push_heap(s.completions.begin(), s.completions.end(),
-                       CompletionGreater{});
-        ++s.arrivals;
-      }
-      ++s.executed;
-    }
+  // Lanes and sinks are shard-private, so running them on pool workers
+  // is race-free.
+  const auto run_shard = [&](std::size_t k) {
+    const std::size_t si = active_[k];
+    active_counts_[k] = lanes_[si].run_window(cut, engine_, sinks_[si]);
   };
   if (active_.size() == 1) {
-    run_shard(active_[0]);  // no dispatch overhead for a lone shard
+    run_shard(0);  // no dispatch overhead for a lone shard
   } else {
-    pool_->parallel_for(active_.size(),
-                        [&](std::size_t k) { run_shard(active_[k]); });
+    pool_->parallel_for(active_.size(), run_shard);
   }
-  for (std::size_t si : active_) {
-    ShardState& s = shards_[si];
-    events_executed_ += s.executed;
-    requests_executed_ += s.arrivals;
-    s.executed = 0;
-    s.arrivals = 0;
-  }
-}
-
-void ShardedSimulator::adapt_epoch(std::size_t exchanged) {
-  // Derived epochs only: an explicit ShardOptions::epoch_ms pins the cut
-  // schedule. Decisions depend only on simulated content (the effect
-  // volume of the committed epoch), so the schedule is identical at any
-  // thread count.
-  if (!options_.adaptive_epoch || options_.epoch_ms > 0.0) return;
-  if (exchanged == 0) {
-    epoch_ms_ = std::min(epoch_ms_ * 4.0, options_.epoch_cap_ms);
-  } else if (exchanged < options_.effect_batch_target) {
-    epoch_ms_ = std::min(epoch_ms_ * 2.0, options_.epoch_cap_ms);
-  } else if (exchanged > 4 * options_.effect_batch_target) {
-    epoch_ms_ = std::max(epoch_ms_ / 2.0, epoch_initial_ms_);
+  for (const WindowCount& count : active_counts_) {
+    events_executed_ += count.executed;
+    requests_executed_ += count.arrivals;
   }
 }
 
@@ -267,67 +163,15 @@ sim::SimulationReport ShardedSimulator::run(workload::WorkloadSource& source) {
   const auto& config = engine_.config();
   const double duration_ms = source.duration_ms();
   const std::vector<workload::Update>& updates = source.updates();
-  metrics_->set_warmup_end(duration_ms * config.warmup_fraction);
-  const double horizon = duration_ms + 60'000.0;
+  metrics_.set_warmup_end(duration_ms * config.warmup_fraction);
 
-  // Every event that couples shards is a coordinator barrier. Build the
-  // full schedule up front in the canonical (time, EventClass, key)
-  // order — the exact order the sequential driver's keyed queue pops
-  // these events in.
-  std::vector<Barrier> barriers;
-  for (std::size_t f = 0; f < config.failures.size(); ++f) {
-    barriers.push_back(Barrier{config.failures[f].time_ms,
-                               sim::EventClass::kFailure, f, f});
-  }
-  for (std::size_t m = 0; m < config.membership_events.size(); ++m) {
-    barriers.push_back(Barrier{config.membership_events[m].time_ms,
-                               sim::EventClass::kMembership, m, m});
-  }
-  for (std::size_t u = 0; u < updates.size(); ++u) {
-    barriers.push_back(
-        Barrier{updates[u].time_ms, sim::EventClass::kUpdate, u, u});
-  }
-  if (hook_ != nullptr && config.control_interval_ms > 0.0) {
-    // Iterative accumulation, not k·interval: reproduces the sequential
-    // driver's tick-chain float arithmetic exactly.
-    double t = config.control_interval_ms;
-    std::uint64_t k = 0;
-    while (t <= horizon) {
-      barriers.push_back(Barrier{t, sim::EventClass::kControlTick, k,
-                                 static_cast<std::size_t>(k)});
-      const double next = t + config.control_interval_ms;
-      if (next > duration_ms) break;
-      t = next;
-      ++k;
-    }
-  }
-  if (config.directory == sim::DirectoryMode::kSummary &&
-      config.summary.refresh_interval_ms > 0.0) {
-    double t = config.summary.refresh_interval_ms;
-    std::uint64_t round = 0;
-    while (t <= horizon) {
-      barriers.push_back(Barrier{t, sim::EventClass::kSummaryRefresh, round,
-                                 static_cast<std::size_t>(round)});
-      const double next = t + config.summary.refresh_interval_ms;
-      if (next > duration_ms) break;
-      t = next;
-      ++round;
-    }
-  }
-  std::sort(barriers.begin(), barriers.end(),
-            [](const Barrier& a, const Barrier& b) {
-              if (a.time_ms != b.time_ms) return a.time_ms < b.time_ms;
-              if (a.klass != b.klass) return a.klass < b.klass;
-              return a.key < b.key;
-            });
+  schedule_.emplace(config, updates, duration_ms, options_.epoch_ms);
 
   if (hook_ != nullptr) hook_->on_start(*this);
   reshard_pending_ = false;
   reshard(source, 0.0);
 
-  double now = 0.0;
   now_ms_ = 0.0;
-  std::size_t bpos = 0;
   events_executed_ = 0;
   requests_executed_ = 0;
   cuts_ = 0;
@@ -335,29 +179,8 @@ sim::SimulationReport ShardedSimulator::run(workload::WorkloadSource& source) {
   merges_skipped_ = 0;
 
   for (;;) {
-    const bool have_barrier = bpos < barriers.size();
-    const double bt = have_barrier ? barriers[bpos].time_ms : kInf;
-    const double earliest = earliest_pending();
-    // Null-message rule, group-aligned: no shard can be influenced before
-    // the next barrier, so the cut may jump to the earliest pending event
-    // plus one lookahead epoch (bounding effect-buffer growth), or
-    // straight to the barrier.
-    const double epoch_target =
-        earliest == kInf ? kInf : std::max(now, earliest) + epoch_ms_;
-    double cut;
-    bool barrier_cut = false;
-    bool final_cut = false;
-    if (have_barrier && bt <= epoch_target) {
-      cut = bt;
-      barrier_cut = true;
-    } else if (epoch_target <= horizon) {
-      cut = epoch_target;
-    } else {
-      cut = horizon;
-      final_cut = true;
-    }
-
-    run_windows(cut, /*inclusive=*/final_cut);
+    const Cut cut = schedule_->next_cut(earliest_pending());
+    run_windows(cut);
     const std::size_t exchanged = total_buffered_effects(sinks_);
     if (exchanged != 0) {
       merge_and_replay(sinks_, coord_sink_, merge_scratch_);
@@ -365,27 +188,22 @@ sim::SimulationReport ShardedSimulator::run(workload::WorkloadSource& source) {
       ++merges_skipped_;  // empty epoch: nothing to exchange or replay
     }
     ++cuts_;
-    now = cut;
-    now_ms_ = cut;
-    if (!barrier_cut && !final_cut) adapt_epoch(exchanged);
-
-    if (barrier_cut) {
-      while (bpos < barriers.size() && barriers[bpos].time_ms == bt) {
-        execute_barrier(barriers[bpos], updates);
-        ++bpos;
-        ++events_executed_;
-      }
-      if (reshard_pending_) {
-        reshard_pending_ = false;
-        reshard(source, bt);
-      }
+    now_ms_ = cut.time_ms;
+    const std::span<const Barrier> due = schedule_->commit(cut, exchanged);
+    for (const Barrier& barrier : due) {
+      execute_barrier(barrier, updates);
+      ++events_executed_;
     }
-    if (final_cut) break;
+    if (reshard_pending_) {
+      reshard_pending_ = false;
+      reshard(source, cut.time_ms);
+    }
+    if (cut.kind == Cut::Kind::kFinal) break;
   }
 
   sim::EngineTally tally = coord_sink_.tally;
   for (const ShardSink& sink : sinks_) tally += sink.tally;
-  return engine_.assemble_report(*metrics_, requests_executed_,
+  return engine_.assemble_report(metrics_, requests_executed_,
                                  events_executed_, control_ticks_, tally);
 }
 

@@ -14,22 +14,16 @@
 //   * Time advances in epochs. Every event that couples shards — origin
 //     updates, failures, membership churn, control ticks, summary
 //     refreshes — is a BARRIER executed by the coordinator with all
-//     shards quiescent, in canonical (time, EventClass, key) order.
+//     shards quiescent. shard::EpochSchedule owns the barrier order, the
+//     cut rule and the (adaptive) epoch width; the live coordinator runs
+//     the same schedule.
 //   * Between barriers, shards run their own event loops CONCURRENTLY on
-//     util::ThreadPool workers up to the next synchronisation cut:
-//     min(next barrier, earliest pending event + epoch width). Each shard
-//     owns a private event/effect arena — its lazy request stream
-//     (workload::RequestSource with per-cache generator state), completion
-//     heap, and ShardSink buffer — so the window hot path takes no locks,
-//     shares no RNG, and allocates nothing once arenas are warm. Only
-//     shards with pending work in the window are dispatched; an
-//     all-empty window skips the pool entirely.
-//   * The epoch width is ADAPTIVE: it starts at the minimum cross-shard
-//     RTT over active (non-down) cache pairs (CMB-style, clamped to
-//     [epoch_floor_ms, epoch_cap_ms]) and widens multiplicatively while
-//     epochs commit with little or no exchanged effect volume, narrowing
-//     again when an epoch overshoots the effect-batch target. This is
-//     what keeps cut counts low when the derived lookahead is tiny.
+//     util::ThreadPool workers up to the next synchronisation cut. Each
+//     shard owns a private event/effect arena — its shard::ShardLane
+//     (lazy request stream + completion heap) and ShardSink buffer — so
+//     the window hot path takes no locks, shares no RNG, and allocates
+//     nothing once arenas are warm. Only shards with pending work in the
+//     window are dispatched; an all-empty window skips the pool entirely.
 //   * Order-sensitive side effects (metrics samples, trace events, RTT
 //     observations) are buffered per shard and replayed at each cut as a
 //     deterministic k-way merge in canonical event order
@@ -45,13 +39,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/catalog.h"
 #include "net/rtt_provider.h"
 #include "obs/trace.h"
 #include "shard/exchange.h"
+#include "shard/lane.h"
 #include "shard/plan.h"
+#include "shard/schedule.h"
 #include "sim/config.h"
 #include "sim/control.h"
 #include "sim/engine.h"
@@ -67,22 +64,9 @@ struct ShardOptions {
   /// — still bit-identical to sim::Simulator.
   std::size_t shards = 1;
   /// Explicit, FIXED epoch length; 0 = derive the initial width from the
-  /// minimum cross-shard RTT and adapt from there. Setting it disables
-  /// adaptation (useful for reproducing an exact cut schedule).
+  /// minimum cross-shard RTT and adapt from there (shard::EpochSchedule).
+  /// A fixed width reproduces an exact cut schedule.
   double epoch_ms = 0.0;
-  /// Clamp range for the derived/adaptive epoch. The floor guards
-  /// degenerate lookahead (near-zero cross-shard RTTs); the cap bounds
-  /// effect-buffer memory between cuts.
-  double epoch_floor_ms = 1.0;
-  double epoch_cap_ms = 1'000.0;
-  /// Adaptive epoch widening (derived epochs only): after a pure epoch
-  /// cut, the width doubles while the cut exchanged fewer effects than
-  /// effect_batch_target (quadruples when it exchanged none) and halves
-  /// after overshooting 4x the target, always staying within
-  /// [initial width, epoch_cap_ms]. Deterministic — decisions depend only
-  /// on simulated content, never on wall time or thread scheduling.
-  bool adaptive_epoch = true;
-  std::size_t effect_batch_target = 8192;
   /// Worker threads for the shard loops; 0 = min(shards,
   /// util::configured_threads()).
   std::size_t threads = 0;
@@ -96,6 +80,9 @@ class ShardedSimulator final : public sim::GroupHost {
   ShardedSimulator(const cache::Catalog& catalog, const net::RttProvider& rtt,
                    net::HostId server, sim::SimulationConfig config,
                    ShardOptions options);
+  // The replay sink and the clock pointer refer into this object.
+  ShardedSimulator(const ShardedSimulator&) = delete;
+  ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   /// Drive the shards from lazy workload streams: each shard pulls from
   /// its own workload::RequestSource (peeking one event ahead), so request
@@ -128,11 +115,13 @@ class ShardedSimulator final : public sim::GroupHost {
   std::size_t execution_threads() const { return resolved_threads_; }
   /// Epoch width currently in force (adaptive; equals epoch_initial_ms()
   /// before the first widening, and the explicit epoch_ms forever when
-  /// one was given).
-  double epoch_ms() const { return epoch_ms_; }
+  /// one was given). 0 before run().
+  double epoch_ms() const { return schedule_ ? schedule_->width_ms() : 0.0; }
   /// Epoch width the last (re)shard derived before any adaptation —
   /// the clamped min cross-shard RTT, or the explicit epoch_ms.
-  double epoch_initial_ms() const { return epoch_initial_ms_; }
+  double epoch_initial_ms() const {
+    return schedule_ ? schedule_->initial_ms() : 0.0;
+  }
   /// Synchronisation cuts executed during run() (epoch + barrier cuts).
   std::uint64_t cuts_executed() const { return cuts_; }
   /// Shard windows actually dispatched (shards with pending events in a
@@ -149,86 +138,17 @@ class ShardedSimulator final : public sim::GroupHost {
   const double* clock_ptr() const { return &now_ms_; }
 
  private:
-  /// Coordinator-side sink: applies effects immediately (used for barrier
-  /// events and as the target of every per-epoch merge).
-  class CoordinatorSink final : public sim::EffectSink {
-   public:
-    explicit CoordinatorSink(ShardedSimulator& host) : host_(host) {}
-    void emit(const obs::TraceEvent& event) override {
-      host_.trace_.emit(event);
-    }
-    void record(cache::CacheIndex cache, double latency_ms,
-                sim::Resolution how, sim::SimTime t) override {
-      host_.metrics_->set_now(t);
-      host_.metrics_->record(cache, latency_ms, how);
-    }
-    void rtt_sample(net::HostId src, net::HostId dst, double rtt_ms,
-                    sim::SimTime t) override {
-      if (host_.hook_ != nullptr) {
-        host_.hook_->on_rtt_sample(src, dst, rtt_ms, t);
-      }
-    }
-
-   private:
-    ShardedSimulator& host_;
-  };
-
-  /// One pending completion, ordered by canonical key (time, request
-  /// index) — EventClass::kCompletion is implied.
-  struct PendingCompletion {
-    sim::Completion c;
-    friend bool operator<(const PendingCompletion& a,
-                          const PendingCompletion& b) {
-      if (a.c.time != b.c.time) return a.c.time < b.c.time;
-      return a.c.request_index < b.c.request_index;
-    }
-  };
-
-  /// Min-heap adapter for std::push_heap/pop_heap (which build max-heaps
-  /// with operator<).
-  struct CompletionGreater {
-    bool operator()(const PendingCompletion& a,
-                    const PendingCompletion& b) const {
-      return b < a;
-    }
-  };
-
-  /// Per-shard event state: the shard's lazy request stream plus its
-  /// min-heap of in-flight completions. The stream is peeked (never
-  /// popped) for head-time comparisons, so the generator state inside the
-  /// WorkloadSource always reflects exactly the executed prefix — which is
-  /// what lets reshard() re-partition mid-run without replaying anything.
-  struct ShardState {
-    std::unique_ptr<workload::RequestSource> source;
-    std::vector<PendingCompletion> completions;  ///< min-heap (std::*_heap)
-    std::uint64_t executed = 0;  ///< events run, summed into the report
-    std::uint64_t arrivals = 0;  ///< arrivals run, summed into the report
-  };
-
-  /// A coordinator-executed event that synchronises all shards.
-  struct Barrier {
-    double time_ms;
-    sim::EventClass klass;
-    std::uint64_t key;    ///< canonical tie-break key
-    std::size_t index;    ///< index into the source list (updates/failures/…)
-  };
-
   /// (Re)distribute the workload across shards for the current partition:
   /// new ShardPlan, per-shard streams from source.partition() at/after
   /// `from_ms`, pending completions re-homed by cache, lookahead
   /// re-derived.
   void reshard(workload::WorkloadSource& source, double from_ms);
 
-  /// Run the event loop of every shard with pending work up to `cut`
-  /// (exclusive; inclusive for the final drain window) in parallel on the
-  /// pool, buffering effects into the per-shard arenas. Shards with no
-  /// events in the window are not dispatched; an all-empty window returns
-  /// without touching the pool.
-  void run_windows(double cut, bool inclusive);
-
-  /// Adaptive-epoch update after a pure (non-barrier) epoch cut that
-  /// exchanged `exchanged` effects.
-  void adapt_epoch(std::size_t exchanged);
+  /// Run the window of every shard with pending work up to `cut` in
+  /// parallel on the pool, buffering effects into the per-shard arenas.
+  /// Shards with no events in the window are not dispatched; an all-empty
+  /// window returns without touching the pool.
+  void run_windows(const Cut& cut);
 
   /// Earliest pending event time across all shards; +inf when idle.
   double earliest_pending() const;
@@ -238,20 +158,20 @@ class ShardedSimulator final : public sim::GroupHost {
 
   sim::ShardableEngine engine_;
   ShardOptions options_;
-  std::unique_ptr<sim::MetricsCollector> metrics_;
+  sim::MetricsCollector metrics_;
   obs::TraceContext trace_;
-  sim::ControlHook* hook_ = nullptr;
+  sim::ControlHook* hook_;
+  ReplaySink coord_sink_;
   std::unique_ptr<util::ThreadPool> pool_;
 
   ShardPlan plan_;
-  std::vector<ShardState> shards_;
+  std::optional<EpochSchedule> schedule_;  ///< built per run()
+  std::vector<ShardLane> lanes_;
   std::vector<ShardSink> sinks_;
-  CoordinatorSink coord_sink_;
   MergeScratch merge_scratch_;
-  std::vector<std::size_t> active_;  ///< reusable active-shard scratch
+  std::vector<std::size_t> active_;         ///< reusable active-shard scratch
+  std::vector<WindowCount> active_counts_;  ///< per active shard, per window
   std::size_t resolved_threads_ = 1;
-  double epoch_ms_ = 0.0;
-  double epoch_initial_ms_ = 0.0;
   double now_ms_ = 0.0;
   bool reshard_pending_ = false;
   std::uint64_t control_ticks_ = 0;

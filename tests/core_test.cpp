@@ -319,8 +319,8 @@ TEST(Experiment, RandomPartitionProperties) {
 }
 
 TEST(Experiment, SchemeFactory) {
-  EXPECT_EQ(make_scheme(SchemeKind::kSl)->name(), "SL");
-  EXPECT_EQ(make_scheme(SchemeKind::kSdsl)->name(), "SDSL");
+  EXPECT_EQ(SlScheme().name(), "SL");
+  EXPECT_EQ(SdslScheme().name(), "SDSL");
 }
 
 TEST(Experiment, SubsetMeanLatencySkipsIdleCaches) {
@@ -332,7 +332,7 @@ TEST(Experiment, SubsetMeanLatencySkipsIdleCaches) {
 
 // Property sweep: both schemes produce valid partitions across seeds & K.
 struct SchemeSweepParam {
-  SchemeKind kind;
+  bool sdsl;  ///< false = SL
   std::size_t k;
   std::uint64_t seed;
 };
@@ -340,15 +340,15 @@ struct SchemeSweepParam {
 class SchemeSweep : public ::testing::TestWithParam<SchemeSweepParam> {};
 
 TEST_P(SchemeSweep, ValidPartition) {
-  const auto [kind, k, seed] = GetParam();
+  const auto [sdsl, k, seed] = GetParam();
   EdgeNetworkParams params;
   params.cache_count = 40;
   const auto network = build_edge_network(params, seed);
   GfCoordinator coordinator(network, net::ProberOptions{}, seed + 1);
   SchemeConfig cfg;
   cfg.num_landmarks = 8;
-  const auto scheme = make_scheme(kind, cfg);
-  const auto result = coordinator.run(*scheme, k);
+  const auto result = sdsl ? coordinator.run(SdslScheme(cfg), k)
+                           : coordinator.run(SlScheme(cfg), k);
 
   EXPECT_EQ(result.groups.size(), k);
   std::vector<int> seen(40, 0);
@@ -369,10 +369,8 @@ TEST_P(SchemeSweep, ValidPartition) {
 // names stay the same from run to run; stack temporaries passed to
 // ::testing::Values would leave stray bytes in them.
 constexpr SchemeSweepParam kSchemeSweepParams[] = {
-    {SchemeKind::kSl, 2, 1},   {SchemeKind::kSl, 5, 2},
-    {SchemeKind::kSl, 10, 3},  {SchemeKind::kSl, 40, 4},
-    {SchemeKind::kSdsl, 2, 5}, {SchemeKind::kSdsl, 5, 6},
-    {SchemeKind::kSdsl, 10, 7}, {SchemeKind::kSdsl, 40, 8}};
+    {false, 2, 1}, {false, 5, 2}, {false, 10, 3}, {false, 40, 4},
+    {true, 2, 5},  {true, 5, 6},  {true, 10, 7},  {true, 40, 8}};
 
 INSTANTIATE_TEST_SUITE_P(Grid, SchemeSweep,
                          ::testing::ValuesIn(kSchemeSweepParams));

@@ -37,6 +37,7 @@
 #include "net/synthetic.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "shard/sharded_sim.h"
 #include "sim/event_queue.h"
 #include "sim/message_engine.h"
 #include "util/expect.h"
@@ -507,6 +508,37 @@ TEST_F(LiveEndToEnd, ScriptedChurnAndFailuresMatchOracle) {
   EXPECT_EQ(pair.live.report.failures_applied, 1u);
   EXPECT_EQ(pair.live_report, pair.oracle_report);
   EXPECT_EQ(pair.live_trace, pair.oracle_trace);
+}
+
+// Both drivers consume one shard::EpochSchedule and one shard::ShardLane
+// window loop, so a live run on M members cuts the run exactly where the
+// in-process driver with M shards does, barriers and churn included.
+TEST_F(LiveEndToEnd, CutScheduleMatchesTheShardedDriver) {
+  ECGF_REQUIRE_LIVE();
+  for (const std::uint64_t seed : {77ull, 606ull, 2006ull}) {
+    RunSpec spec = small_spec();
+    spec.seed = seed;
+    spec.failures = {{5, 1'500.0}};
+    spec.membership = {{sim::MembershipChange::Kind::kLeave, 2, 1'000.0},
+                       {sim::MembershipChange::Kind::kJoin, 2, 2'500.0}};
+    for (std::uint32_t members = 1; members <= 4; ++members) {
+      const PairRun pair = run_pair(spec, members, /*traced=*/false);
+      EXPECT_EQ(pair.live_report, pair.oracle_report);
+
+      World world = build_world(spec);
+      shard::ShardOptions options;
+      options.shards = members;
+      shard::ShardedSimulator sharded(
+          world.catalog, world.rtt, world.server(),
+          sim_config_for(spec, form_live_groups(spec, world.rtt, nullptr)),
+          options);
+      sharded.run(*world.workload);
+      EXPECT_EQ(pair.live.cuts, sharded.cuts_executed())
+          << "seed " << seed << ", " << members << " members";
+      EXPECT_EQ(pair.live.windows, sharded.windows_dispatched())
+          << "seed " << seed << ", " << members << " members";
+    }
+  }
 }
 
 TEST_F(LiveEndToEnd, TtlConsistencyMatchesOracle) {

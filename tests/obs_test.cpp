@@ -221,13 +221,16 @@ TEST_F(ObsTraceTest, SweepTraceIsByteIdenticalAcrossThreadCounts) {
   params.catalog.document_count = 200;
   params.workload.duration_ms = 5'000.0;
 
+  core::SchemeConfig config;
+  config.num_landmarks = 6;
+  const auto sl = std::make_shared<const core::SlScheme>(config);
   std::vector<core::SweepPoint> points;
   for (std::size_t k : {2, 3}) {
     core::SweepPoint p;
     p.testbed = params;
     p.testbed_seed = 91;
     p.coordinator_seed = 92;
-    p.config.num_landmarks = 6;
+    p.scheme = sl;
     p.group_count = k;
     points.push_back(std::move(p));
   }

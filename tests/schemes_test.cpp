@@ -302,7 +302,7 @@ std::string run_sweep(std::size_t threads) {
       p.testbed = params;
       p.testbed_seed = 2006;
       p.coordinator_seed = 2007;
-      p.scheme_instance = SchemeRegistry::builtin().make(name);
+      p.scheme = SchemeRegistry::builtin().make(name);
       p.group_count = 4;
       points.push_back(std::move(p));
     }

@@ -13,7 +13,9 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "obs/trace.h"
 #include "shard/exchange.h"
 #include "shard/plan.h"
+#include "shard/schedule.h"
 #include "shard/sharded_sim.h"
 #include "sim/netmodel/link_model.h"
 #include "sim/simulator.h"
@@ -459,9 +462,9 @@ TEST(ShardedSimEdge, DegenerateLookaheadClampsToFloorAndStaysIdentical) {
   // Derived lookahead 0.01 ms < the 1 ms floor → the INITIAL width is
   // clamped to the floor; adaptation then widens it (the current width
   // ends at or above where it started, at or below the cap).
-  EXPECT_DOUBLE_EQ(sharded.epoch_initial_ms(), options.epoch_floor_ms);
+  EXPECT_DOUBLE_EQ(sharded.epoch_initial_ms(), EpochSchedule::kFloorMs);
   EXPECT_GE(sharded.epoch_ms(), sharded.epoch_initial_ms());
-  EXPECT_LE(sharded.epoch_ms(), options.epoch_cap_ms);
+  EXPECT_LE(sharded.epoch_ms(), EpochSchedule::kCapMs);
   EXPECT_EQ(report_bytes(rep), report_bytes(seq));
   // The floor + widening keep the cut count sane: bounded by events, not
   // by 0.01 ms epochs over the 62 s drain horizon.
@@ -511,20 +514,148 @@ TEST(ShardedSimEdge, ExplicitEpochMatchesDerivedOutput) {
   EXPECT_EQ(report_bytes(a), report_bytes(b));
 }
 
-TEST(ShardedSimEdge, DisablingAdaptationKeepsTheDerivedWidthFixed) {
-  const cache::Catalog catalog = tiny_catalog();
-  net::MatrixRttProvider rtt(near_zero_cross_matrix());
+// ----------------------------------------------------------------------
+// EpochSchedule: barrier order, cut rule, width derivation and adaptation.
+// ----------------------------------------------------------------------
 
-  ShardOptions options;
-  options.shards = 2;
-  options.adaptive_epoch = false;
-  ShardedSimulator sharded(catalog, rtt, 4, tiny_config(), options);
-  const sim::SimulationReport rep = sharded.run(tiny_trace());
+TEST(EpochSchedule, BarriersSortByTimeThenClassThenKey) {
+  sim::SimulationConfig config;
+  config.failures = {{3, 100.0}, {1, 100.0}, {2, 40.0}};
+  config.membership_events = {
+      {sim::MembershipChange::Kind::kLeave, 0, 100.0}};
+  const std::vector<workload::Update> updates = {{100.0, 7}, {100.0, 8}};
+  EpochSchedule schedule(config, updates, 1'000.0);
 
-  const sim::SimulationReport seq =
-      sim::run_simulation(catalog, rtt, 4, tiny_config(), tiny_trace());
-  EXPECT_EQ(report_bytes(rep), report_bytes(seq));
-  EXPECT_DOUBLE_EQ(sharded.epoch_ms(), sharded.epoch_initial_ms());
+  std::vector<std::tuple<double, sim::EventClass, std::uint64_t>> order;
+  for (const Barrier& b : schedule.barriers()) {
+    order.emplace_back(b.time_ms, b.klass, b.key);
+  }
+  using C = sim::EventClass;
+  const std::vector<std::tuple<double, sim::EventClass, std::uint64_t>>
+      expected = {{40.0, C::kFailure, 2},    {100.0, C::kFailure, 0},
+                  {100.0, C::kFailure, 1},   {100.0, C::kMembership, 0},
+                  {100.0, C::kUpdate, 0},    {100.0, C::kUpdate, 1}};
+  EXPECT_EQ(order, expected);
+
+  // A barrier cut hands back every barrier at its time, in that order.
+  const Cut first = schedule.next_cut(workload::kNoEvent);
+  EXPECT_EQ(first.kind, Cut::Kind::kBarrier);
+  EXPECT_EQ(first.time_ms, 40.0);
+  EXPECT_EQ(schedule.commit(first, 0).size(), 1u);
+  const Cut second = schedule.next_cut(workload::kNoEvent);
+  EXPECT_EQ(second.kind, Cut::Kind::kBarrier);
+  const std::span<const Barrier> due = schedule.commit(second, 0);
+  ASSERT_EQ(due.size(), 5u);
+  EXPECT_EQ(due.front().klass, C::kFailure);
+  EXPECT_EQ(due.back().klass, C::kUpdate);
+  EXPECT_EQ(due.back().index, 1u);
+}
+
+TEST(EpochSchedule, PeriodicBarriersOnlyWithAHookOrSummaryDirectory) {
+  const auto count = [](const sim::SimulationConfig& config,
+                        sim::EventClass klass) {
+    const EpochSchedule schedule(config, {}, 1'000.0);
+    std::size_t n = 0;
+    for (const Barrier& b : schedule.barriers()) n += b.klass == klass;
+    return n;
+  };
+  sim::SimulationConfig config;
+  config.control_interval_ms = 400.0;
+  config.summary.refresh_interval_ms = 500.0;
+  EXPECT_EQ(count(config, sim::EventClass::kControlTick), 0u);
+  EXPECT_EQ(count(config, sim::EventClass::kSummaryRefresh), 0u);
+
+  sim::ControlHook hook;
+  config.control_hook = &hook;
+  config.directory = sim::DirectoryMode::kSummary;
+  EXPECT_EQ(count(config, sim::EventClass::kControlTick), 2u);     // 400, 800
+  EXPECT_EQ(count(config, sim::EventClass::kSummaryRefresh), 2u);  // 500, 1000
+}
+
+class EpochWidth : public ::testing::Test {
+ protected:
+  /// Commit one pure epoch cut that exchanged `exchanged` effects.
+  void epoch(EpochSchedule& schedule, std::size_t exchanged) {
+    const Cut cut = schedule.next_cut(0.0);
+    ASSERT_EQ(cut.kind, Cut::Kind::kEpoch);
+    schedule.commit(cut, exchanged);
+  }
+
+  const cache::Catalog catalog_ = tiny_catalog();
+  const net::MatrixRttProvider rtt_{near_zero_cross_matrix()};
+  const sim::ShardableEngine engine_{catalog_, rtt_, 4, tiny_config()};
+};
+
+TEST_F(EpochWidth, AdaptsByFourTwoAndHalfWithinInitialAndCap) {
+  EpochSchedule schedule(sim::SimulationConfig{}, {}, 100'000.0);
+  // Cross-shard RTT 0.01 ms clamps up to the floor.
+  schedule.reset_width(ShardPlan(engine_.groups(), 4, 2), engine_);
+  EXPECT_EQ(schedule.initial_ms(), EpochSchedule::kFloorMs);
+  constexpr std::size_t kTarget = EpochSchedule::kEffectBatchTarget;
+  const std::vector<std::pair<std::size_t, double>> steps = {
+      {0, 4.0},               // nothing exchanged: x4
+      {1, 8.0},               // under the target: x2
+      {kTarget, 8.0},         // at the target: hold
+      {4 * kTarget, 8.0},     // at 4x the target: hold
+      {4 * kTarget + 1, 4.0}, // past 4x the target: halve
+      {4 * kTarget + 1, 2.0},
+      {4 * kTarget + 1, 1.0},
+      {4 * kTarget + 1, 1.0}, // never below the initial width
+      {0, 4.0},   {0, 16.0}, {0, 64.0}, {0, 256.0},
+      {0, EpochSchedule::kCapMs},  // x4 clamps to the cap
+      {1, EpochSchedule::kCapMs}};
+  for (const auto& [exchanged, width] : steps) {
+    epoch(schedule, exchanged);
+    EXPECT_EQ(schedule.width_ms(), width) << "after " << exchanged;
+  }
+  EXPECT_EQ(schedule.initial_ms(), EpochSchedule::kFloorMs);
+
+  // Barrier and final cuts never adapt.
+  EpochSchedule barrier_schedule(tiny_config(), {{0.5, 1}}, 1'000.0);
+  barrier_schedule.reset_width(ShardPlan(engine_.groups(), 4, 2), engine_);
+  const Cut cut = barrier_schedule.next_cut(0.0);
+  ASSERT_EQ(cut.kind, Cut::Kind::kBarrier);
+  barrier_schedule.commit(cut, 0);
+  EXPECT_EQ(barrier_schedule.width_ms(), EpochSchedule::kFloorMs);
+}
+
+TEST_F(EpochWidth, OneLoadedShardDerivesTheCap) {
+  EpochSchedule schedule(sim::SimulationConfig{}, {}, 1'000.0);
+  schedule.reset_width(ShardPlan(engine_.groups(), 4, 1), engine_);
+  EXPECT_EQ(schedule.width_ms(), EpochSchedule::kCapMs);
+}
+
+TEST_F(EpochWidth, FixedWidthNeverAdapts) {
+  EpochSchedule schedule(sim::SimulationConfig{}, {}, 100'000.0, 250.0);
+  schedule.reset_width(ShardPlan(engine_.groups(), 4, 2), engine_);
+  EXPECT_EQ(schedule.initial_ms(), 250.0);
+  constexpr std::size_t kOvershoot = 5 * EpochSchedule::kEffectBatchTarget;
+  for (const std::size_t exchanged : {std::size_t{0}, std::size_t{1},
+                                      kOvershoot}) {
+    epoch(schedule, exchanged);
+    EXPECT_EQ(schedule.width_ms(), 250.0);
+  }
+}
+
+TEST_F(EpochWidth, FinalCutDrainsInclusivelyAtTheHorizon) {
+  EpochSchedule schedule(sim::SimulationConfig{}, {}, 1'000.0);
+  schedule.reset_width(ShardPlan(engine_.groups(), 4, 2), engine_);
+  const double horizon = 1'000.0 + EpochSchedule::kDrainMs;
+  EXPECT_EQ(schedule.horizon_ms(), horizon);
+
+  // An epoch target exactly at the horizon is still an (exclusive) epoch.
+  const Cut at = schedule.next_cut(horizon - EpochSchedule::kFloorMs);
+  EXPECT_EQ(at.kind, Cut::Kind::kEpoch);
+  EXPECT_EQ(at.time_ms, horizon);
+  EXPECT_FALSE(at.inclusive());
+  // Past the horizon, or with every shard drained, the cut is the final
+  // inclusive drain at the horizon.
+  for (const double earliest : {horizon - 0.5, workload::kNoEvent}) {
+    const Cut cut = schedule.next_cut(earliest);
+    EXPECT_EQ(cut.kind, Cut::Kind::kFinal);
+    EXPECT_EQ(cut.time_ms, horizon);
+    EXPECT_TRUE(cut.inclusive());
+  }
 }
 
 // ----------------------------------------------------------------------

@@ -208,16 +208,21 @@ std::vector<core::SweepPoint> small_sweep() {
   testbed.workload.duration_ms = 20'000.0;
   testbed.workload.requests_per_cache_per_s = 2.0;
 
+  core::SchemeConfig config;
+  config.num_landmarks = 6;
+  const std::shared_ptr<const core::GroupingScheme> sl =
+      std::make_shared<const core::SlScheme>(config);
+  const std::shared_ptr<const core::GroupingScheme> sdsl =
+      std::make_shared<const core::SdslScheme>(config);
+
   std::vector<core::SweepPoint> points;
-  for (const core::SchemeKind kind :
-       {core::SchemeKind::kSl, core::SchemeKind::kSdsl}) {
+  for (const auto& scheme : {sl, sdsl}) {
     for (std::uint64_t seed : {9001ull, 9002ull}) {
       core::SweepPoint p;
       p.testbed = testbed;
       p.testbed_seed = seed;
-      p.coordinator_seed = seed * 17 + (kind == core::SchemeKind::kSl);
-      p.scheme = kind;
-      p.config.num_landmarks = 6;
+      p.coordinator_seed = seed * 17 + (scheme == sl);
+      p.scheme = scheme;
       p.group_count = 3;
       p.formation_runs = 2;
       points.push_back(std::move(p));
@@ -228,8 +233,7 @@ std::vector<core::SweepPoint> small_sweep() {
   quality.testbed = testbed;
   quality.testbed_seed = 9003;
   quality.coordinator_seed = 31;
-  quality.scheme = core::SchemeKind::kSl;
-  quality.config.num_landmarks = 6;
+  quality.scheme = sl;
   quality.group_count = 4;
   quality.simulate = false;
   points.push_back(std::move(quality));

@@ -10,6 +10,8 @@
 //   distance_matrix   dense host_rtt_matrix + from_full → packed direct fill
 //   dijkstra          per-source dijkstra() → CSR view + reused scratch
 //   prober_fv         per-landmark measure_rtt_ms loop → measure_many batch
+//   lookahead         full cross-shard pair scan at every reshard →
+//                     per-run closest-pair list (shard::CrossShardLookahead)
 //   e2e_sl / e2e_sdsl whole-scheme formation with kmeans.prune off → on
 //
 // Output: a human table on stdout, `# shape-check:` equality verdicts, and
@@ -31,6 +33,7 @@
 #include "net/prober.h"
 #include "net/synthetic.h"
 #include "perf_harness.h"
+#include "shard/plan.h"
 #include "topology/attachment.h"
 #include "topology/shortest_paths.h"
 #include "topology/transit_stub.h"
@@ -54,6 +57,8 @@ struct Config {
   std::size_t dijkstra_sources = 256;
   std::size_t prober_hosts = 1024;
   std::size_t landmarks = 25;
+  std::size_t lookahead_caches = 1024;
+  std::size_t lookahead_reshards = 24;
   std::vector<std::size_t> e2e_n;
   std::size_t e2e_k = 16;
   std::size_t warmup = 1;
@@ -76,6 +81,8 @@ Config smoke_config() {
   c.dijkstra_sources = 8;
   c.prober_hosts = 64;
   c.landmarks = 8;
+  c.lookahead_caches = 512;
+  c.lookahead_reshards = 8;
   c.e2e_n = {48};
   c.e2e_k = 4;
   c.warmup = 0;
@@ -384,6 +391,121 @@ void bench_prober_fv(perf::Report& report, const Config& cfg,
 }
 
 // --------------------------------------------------------------------------
+// lookahead: the cross-shard lookahead of one churning sharded run — the
+// benchmark's `churn` world shape (GT-ITM matrix, 4 shards) re-derived at
+// every reshard. Naive: shard::min_cross_shard_rtt_ms, the full pair scan,
+// at each reshard. Optimised: one shard::CrossShardLookahead per run — one
+// pass over all pairs, then a walk of the kept list per reshard.
+
+/// One reshard's inputs: the plan of an SDSL regrouping over 4 shards
+/// (K = caches/64 groups, as the `churn` workload forms them, each from
+/// its own seed — the re-formations of a maintained run) and a random
+/// ~2% of the caches down (left, not yet rejoined).
+struct Reshard {
+  shard::ShardPlan plan;
+  std::vector<bool> down;
+};
+
+std::vector<Reshard> churn_reshards(const net::RttProvider& rtt,
+                                    std::size_t caches, std::size_t count,
+                                    std::uint64_t seed) {
+  constexpr std::size_t kShards = 4;
+  core::SchemeConfig config;
+  config.num_landmarks = std::min<std::size_t>(25, caches / 4);
+  config.m_multiplier = 2;
+  config.theta = 2.0;
+  const core::SdslScheme scheme(config);
+  const auto server = static_cast<net::HostId>(caches);
+  const std::size_t groups = std::max<std::size_t>(kShards, caches / 64);
+  util::Rng rng(seed);
+  std::vector<Reshard> out;
+  for (std::size_t r = 0; r < count; ++r) {
+    net::Prober prober(rtt, net::ProberOptions{}, rng.fork(2 * r));
+    util::Rng form_rng = rng.fork(2 * r + 1);
+    const auto partition =
+        scheme.form_groups(caches, server, groups, prober, form_rng)
+            .partition();
+    std::vector<bool> down(caches);
+    for (std::size_t c = 0; c < caches; ++c) down[c] = rng.bernoulli(0.02);
+    out.push_back(
+        {shard::ShardPlan(partition, caches, kShards), std::move(down)});
+  }
+  return out;
+}
+
+void bench_lookahead(perf::Report& report, const Config& cfg,
+                     const std::string& filter) {
+  if (!wants(filter, "lookahead")) return;
+  const std::size_t caches = cfg.lookahead_caches;
+  util::Rng rng(31);
+  util::Rng topo_rng = rng.fork(1);
+  util::Rng place_rng = rng.fork(2);
+  const auto topo = topology::generate_transit_stub(
+      core::scaled_topology_for(caches), topo_rng);
+  const auto placement = topology::place_hosts(
+      topo, caches + 1, topology::PlacementOptions{}, place_rng);
+  const net::MatrixRttProvider rtt(
+      core::host_rtt_distance_matrix(topo.graph, placement));
+  const std::vector<Reshard> reshards =
+      churn_reshards(rtt, caches, cfg.lookahead_reshards, /*seed=*/37);
+
+  const auto naive = [&] {
+    std::vector<double> widths;
+    for (const Reshard& r : reshards) {
+      widths.push_back(shard::min_cross_shard_rtt_ms(
+          r.plan, rtt, caches, shard::kExactLookaheadCaches,
+          [&](cache::CacheIndex c) { return !r.down[c]; }));
+    }
+    return widths;
+  };
+  const auto indexed = [&](std::size_t* fallbacks) {
+    shard::CrossShardLookahead index;
+    std::vector<double> widths;
+    for (const Reshard& r : reshards) {
+      widths.push_back(index.min_rtt_ms(
+          r.plan, rtt, caches,
+          [&](cache::CacheIndex c) { return !r.down[c]; }));
+    }
+    if (fallbacks != nullptr) *fallbacks = index.fallbacks();
+    return widths;
+  };
+
+  {
+    std::size_t fallbacks = 0;
+    const auto a = naive();
+    const auto b = indexed(&fallbacks);
+    shape_check("lookahead index == full scan at every one of " +
+                    std::to_string(reshards.size()) +
+                    " reshards (caches=" + std::to_string(caches) +
+                    ", fallbacks=" + std::to_string(fallbacks) + ")",
+                a == b);
+  }
+
+  perf::Entry e;
+  e.bench = "lookahead";
+  e.params = "caches=" + std::to_string(caches) +
+             " reshards=" + std::to_string(reshards.size());
+  e.n = caches;
+  const std::size_t reps = reps_for(caches, cfg);
+  std::tie(e.naive, e.optimized) = perf::time_pair(
+      [&] {
+        const auto widths = naive();
+        perf::keep(&widths);
+      },
+      [&] {
+        const auto widths = indexed(nullptr);
+        perf::keep(&widths);
+      },
+      reps, cfg.warmup);
+  if (cfg.timing_checks) {
+    // Measured 20.6-22.9x (one pair pass against 24 scans, no fallback).
+    shape_check("lookahead index >= 10x the per-reshard scan over a run",
+                e.speedup() >= 10.0);
+  }
+  report.add(std::move(e));
+}
+
+// --------------------------------------------------------------------------
 // e2e: whole SL / SDSL formation over a synthetic network, kmeans.prune off
 // vs on. Everything else (landmarks, probing, positions) is shared cost, so
 // this shows the end-to-end effect of the kernel work.
@@ -450,8 +572,8 @@ int main(int argc, char** argv) {
                "full");
   flags.define("filter",
                "substring filter on bench names "
-               "(kmeans, distance_matrix, dijkstra, prober_fv, e2e_sl, "
-               "e2e_sdsl); empty = all",
+               "(kmeans, distance_matrix, dijkstra, prober_fv, lookahead, "
+               "e2e_sl, e2e_sdsl); empty = all",
                "");
   flags.define("threads",
                "thread-pool size; 1 (default) for stable single-core timings",
@@ -475,6 +597,7 @@ int main(int argc, char** argv) {
   bench_distance_matrix(report, cfg, filter);
   bench_dijkstra(report, cfg, filter);
   bench_prober_fv(report, cfg, filter);
+  bench_lookahead(report, cfg, filter);
   bench_e2e(report, cfg, filter, /*sdsl=*/false);
   bench_e2e(report, cfg, filter, /*sdsl=*/true);
 

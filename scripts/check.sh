@@ -305,6 +305,12 @@ if grep -q "shape-check: FAIL" <<<"$perf_out"; then
   echo "!! shape-check failure in perf smoke" >&2
   fail=1
 fi
+# The lookahead pair's equality check must have run (index vs full scan at
+# every reshard, both the walk and the fallback path).
+if ! grep -q "shape-check: PASS — lookahead index == full scan" <<<"$perf_out"; then
+  echo "!! perf smoke did not run the lookahead equality check" >&2
+  fail=1
+fi
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$perf_json" \
     || { echo "!! perf smoke JSON does not parse" >&2; fail=1; }

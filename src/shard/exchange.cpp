@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <limits>
 
+#include "obs/profile.h"
+
 namespace ecgf::shard {
 
 std::size_t total_buffered_effects(const std::vector<ShardSink>& sinks) {
@@ -13,6 +15,7 @@ std::size_t total_buffered_effects(const std::vector<ShardSink>& sinks) {
 
 void merge_and_replay(std::vector<ShardSink>& sinks, sim::EffectSink& target,
                       MergeScratch& scratch) {
+  ECGF_PROF_SCOPE("shard.merge");
   // Classic k-way merge over already-sorted buffers. Shard counts are
   // small (≤ dozens), so a linear scan for the minimum head beats heap
   // bookkeeping.

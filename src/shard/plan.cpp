@@ -1,11 +1,18 @@
 #include "shard/plan.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/expect.h"
 
 namespace ecgf::shard {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 ShardPlan::ShardPlan(const std::vector<std::vector<cache::CacheIndex>>& groups,
                      std::size_t cache_count, std::size_t shard_count)
@@ -88,6 +95,71 @@ double min_cross_shard_rtt_ms(const ShardPlan& plan,
                                   static_cast<net::HostId>(j), 0.0));
   }
   return best;
+}
+
+double CrossShardLookahead::min_rtt_ms(const ShardPlan& plan,
+                                       const net::RttProvider& rtt,
+                                       std::size_t cache_count,
+                                       const ActiveCachePredicate& active) {
+  if (plan.shard_count() <= 1) return kInf;
+  if (cache_count > kExactLookaheadCaches) {
+    return min_cross_shard_rtt_ms(plan, rtt, cache_count,
+                                  kExactLookaheadCaches, active);
+  }
+  if (rtt_ == nullptr) build(rtt, cache_count);
+  ECGF_EXPECTS(rtt_ == &rtt && cache_count_ == cache_count);
+  for (const Pair& p : pairs_) {
+    if (plan.shard_of_cache(p.a) == plan.shard_of_cache(p.b)) continue;
+    if (active != nullptr && (!active(p.a) || !active(p.b))) continue;
+    return p.rtt_ms;
+  }
+  ++fallbacks_;
+  return min_cross_shard_rtt_ms(plan, rtt, cache_count, kExactLookaheadCaches,
+                                active);
+}
+
+void CrossShardLookahead::build(const net::RttProvider& rtt,
+                                std::size_t cache_count) {
+  rtt_ = &rtt;
+  cache_count_ = cache_count;
+  const std::size_t keep = kKeptPairsPerCache * cache_count;
+  // (rtt, a, b) order: among equal RTTs the scan's std::min keeps the
+  // first pair in (i, j) order, and so does the walk.
+  const auto closer = [](const Pair& x, const Pair& y) {
+    if (x.rtt_ms != y.rtt_ms) return x.rtt_ms < y.rtt_ms;
+    if (x.a != y.a) return x.a < y.a;
+    return x.b < y.b;
+  };
+  // A buffer of twice the kept size; each time it fills, nth_element cuts
+  // it back to the `keep` closest and the bar drops to the largest one
+  // kept. A pair at or beyond the bar can never make the final list (NaN
+  // never passes it, just as std::min in the scan never takes it).
+  std::vector<Pair> buffer;
+  buffer.reserve(2 * keep);
+  const auto compact = [&] {
+    std::nth_element(buffer.begin(),
+                     buffer.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     buffer.end(), closer);
+    buffer.resize(keep);
+  };
+  double bar = kInf;
+  for (std::size_t i = 0; i < cache_count; ++i) {
+    for (std::size_t j = i + 1; j < cache_count; ++j) {
+      const double r = rtt.rtt_ms_at(static_cast<net::HostId>(i),
+                                     static_cast<net::HostId>(j), 0.0);
+      if (!(r < bar)) continue;
+      buffer.push_back(Pair{r, static_cast<cache::CacheIndex>(i),
+                            static_cast<cache::CacheIndex>(j)});
+      if (buffer.size() == 2 * keep) {
+        compact();
+        bar = buffer.back().rtt_ms;
+      }
+    }
+  }
+  if (buffer.size() > keep) compact();
+  std::sort(buffer.begin(), buffer.end(), closer);
+  buffer.shrink_to_fit();
+  pairs_ = std::move(buffer);
 }
 
 }  // namespace ecgf::shard

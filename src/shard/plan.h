@@ -51,6 +51,10 @@ class ShardPlan {
   std::vector<std::size_t> loads_;
 };
 
+/// Largest network whose lookahead is derived exactly from every cache
+/// pair; above it, min_cross_shard_rtt_ms samples pairs.
+inline constexpr std::size_t kExactLookaheadCaches = 4096;
+
 /// True when cache `c` should count toward the cross-shard lookahead.
 /// Down or departed caches generate no cross-shard influence, so the
 /// derivation skips them.
@@ -71,7 +75,53 @@ using ActiveCachePredicate = std::function<bool(cache::CacheIndex)>;
 double min_cross_shard_rtt_ms(const ShardPlan& plan,
                               const net::RttProvider& rtt,
                               std::size_t cache_count,
-                              std::size_t exact_limit = 4096,
+                              std::size_t exact_limit = kExactLookaheadCaches,
                               const ActiveCachePredicate& active = nullptr);
+
+/// min_cross_shard_rtt_ms for a run that reshards many times over one RTT
+/// oracle, with the same value at every call. Under the RttProvider
+/// contract the t = 0 pair RTTs never change during a run, so the first
+/// exact derivation makes one pass over all n(n-1)/2 pairs and keeps the
+/// kKeptPairsPerCache·n closest, sorted by (rtt, a, b). Every derivation
+/// then walks that list to the first pair whose caches are both active and
+/// sit in different shards: its RTT is the exact minimum, because every
+/// pair left out is at least as far as the list's largest entry. When no
+/// kept pair qualifies (say, every close pair is intra-shard) the full scan
+/// answers instead. Above kExactLookaheadCaches the stride sampler answers
+/// every call, as before.
+///
+/// One instance serves one run: every call must pass the same oracle and
+/// cache count.
+class CrossShardLookahead {
+ public:
+  /// Kept pairs per cache. A churning 1,024-cache run finds its answer
+  /// about 50 entries down a 2,048-entry list; a longer list costs peak
+  /// memory and buys no fewer scans.
+  static constexpr std::size_t kKeptPairsPerCache = 2;
+
+  /// The value min_cross_shard_rtt_ms(plan, rtt, cache_count,
+  /// kExactLookaheadCaches, active) returns.
+  double min_rtt_ms(const ShardPlan& plan, const net::RttProvider& rtt,
+                    std::size_t cache_count,
+                    const ActiveCachePredicate& active = nullptr);
+
+  /// Pairs kept by the one pass (0 before it, and above the exact limit).
+  std::size_t kept_pairs() const { return pairs_.size(); }
+  /// Derivations that found no qualifying kept pair and ran the full scan.
+  std::size_t fallbacks() const { return fallbacks_; }
+
+ private:
+  struct Pair {
+    double rtt_ms;
+    cache::CacheIndex a, b;
+  };
+
+  void build(const net::RttProvider& rtt, std::size_t cache_count);
+
+  const net::RttProvider* rtt_ = nullptr;  ///< oracle the list was built from
+  std::size_t cache_count_ = 0;
+  std::vector<Pair> pairs_;
+  std::size_t fallbacks_ = 0;
+};
 
 }  // namespace ecgf::shard

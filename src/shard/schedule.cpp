@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/profile.h"
 #include "util/expect.h"
 
 namespace ecgf::shard {
@@ -74,8 +75,9 @@ void EpochSchedule::reset_width(const ShardPlan& plan,
     // must not drag the width to a floor the live traffic never justifies.
     // The derived value is a starting point, not a ceiling: adaptation
     // widens from here.
-    double lookahead = min_cross_shard_rtt_ms(
-        plan, engine.rtt(), engine.cache_count(), /*exact_limit=*/4096,
+    ECGF_PROF_SCOPE("shard.lookahead");
+    double lookahead = lookahead_.min_rtt_ms(
+        plan, engine.rtt(), engine.cache_count(),
         [&engine](cache::CacheIndex c) { return !engine.is_down(c); });
     if (!std::isfinite(lookahead)) lookahead = kCapMs;
     width_ms_ = std::clamp(lookahead, kFloorMs, kCapMs);

@@ -19,7 +19,9 @@
 //     (CMB lookahead, clamped to [kFloorMs, kCapMs]) at every (re)shard,
 //     then widened after pure epoch cuts that exchanged few effects and
 //     narrowed after ones that overshot (docs/scaling.md). A fixed width
-//     never adapts.
+//     never adapts. One CrossShardLookahead per run answers every
+//     (re)shard, so a reshard walks a short list instead of scanning
+//     every cache pair.
 //
 // Output bytes never depend on the width (group-aligned barriers carry all
 // cross-shard influence), and every decision depends only on simulated
@@ -83,7 +85,10 @@ class EpochSchedule {
 
   /// Start a new width for a (re)shard: the minimum cross-shard RTT over
   /// the engine's non-down caches under `plan`, clamped (+inf, i.e. one
-  /// loaded shard, takes the cap). A fixed width is kept as is.
+  /// loaded shard, takes the cap). A fixed width is kept as is. The first
+  /// derivation of a schedule reads every cache pair once; later ones walk
+  /// the kept closest pairs (CrossShardLookahead), so `engine` must be the
+  /// same at every call.
   void reset_width(const ShardPlan& plan, const sim::ShardableEngine& engine);
 
   /// The next cut, given the earliest pending shard event (+inf when
@@ -110,6 +115,7 @@ class EpochSchedule {
   double width_ms_ = 0.0;
   double initial_ms_ = 0.0;
   double now_ms_ = 0.0;
+  CrossShardLookahead lookahead_;
 };
 
 }  // namespace ecgf::shard

@@ -51,6 +51,7 @@ void ShardedSimulator::apply_groups(
 
 void ShardedSimulator::reshard(workload::WorkloadSource& source,
                                double from_ms) {
+  ECGF_PROF_SCOPE("shard.reshard");
   plan_ = ShardPlan(engine_.groups(), engine_.cache_count(), options_.shards);
   schedule_->reset_width(plan_, engine_);
 
@@ -84,6 +85,7 @@ double ShardedSimulator::earliest_pending() const {
 }
 
 void ShardedSimulator::run_windows(const Cut& cut) {
+  ECGF_PROF_SCOPE("shard.windows");
   // Only shards whose head event falls inside the window are dispatched;
   // idle shards pay nothing at this cut, and an all-idle window never
   // touches the pool (degenerate topologies: one loaded shard, N-1 empty).
@@ -114,6 +116,7 @@ void ShardedSimulator::run_windows(const Cut& cut) {
 
 void ShardedSimulator::execute_barrier(
     const Barrier& barrier, const std::vector<workload::Update>& updates) {
+  ECGF_PROF_SCOPE("shard.barrier");
   const double t = barrier.time_ms;
   const auto& config = engine_.config();
   switch (barrier.klass) {

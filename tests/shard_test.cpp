@@ -9,6 +9,7 @@
 // empty shards under heavy leave churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -93,6 +94,168 @@ TEST(ShardPlan, MinCrossShardRttIsExactOnSmallNetworks) {
   // One shard: no cross pairs, infinite lookahead.
   const ShardPlan solo({{0, 1}, {2, 3}}, 4, 1);
   EXPECT_TRUE(std::isinf(min_cross_shard_rtt_ms(solo, rtt, 4)));
+}
+
+// ----------------------------------------------------------------------
+// CrossShardLookahead: the per-run closest-pair list answers exactly what
+// the full scan answers, for every plan and down set.
+// ----------------------------------------------------------------------
+
+/// A symmetric RTT table of whole milliseconds in [1, levels] (few levels
+/// force ties everywhere) with about one pair in twenty unreachable
+/// (+inf). Counts the lookups made through it.
+class TableRtt final : public net::RttProvider {
+ public:
+  TableRtt(std::size_t n, util::Rng& rng, std::size_t levels = 12)
+      : n_(n), rtt_(n * n, 0.0) {
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        const double v = rng.bernoulli(0.05)
+                             ? std::numeric_limits<double>::infinity()
+                             : static_cast<double>(1 + rng.index(levels));
+        rtt_[a * n + b] = rtt_[b * n + a] = v;
+      }
+    }
+  }
+  std::size_t host_count() const override { return n_; }
+  double rtt_ms(net::HostId a, net::HostId b) const override {
+    ++lookups_;
+    return rtt_[a * n_ + b];
+  }
+  std::size_t lookups() const { return lookups_; }
+
+ private:
+  std::size_t n_;
+  std::vector<double> rtt_;
+  mutable std::size_t lookups_ = 0;
+};
+
+/// Caches scattered over a random number of groups (none left empty).
+std::vector<std::vector<cache::CacheIndex>> random_groups(std::size_t n,
+                                                          util::Rng& rng) {
+  std::vector<std::vector<cache::CacheIndex>> groups(1 + rng.index(n));
+  for (std::size_t c = 0; c < n; ++c) {
+    groups[rng.index(groups.size())].push_back(
+        static_cast<cache::CacheIndex>(c));
+  }
+  std::erase_if(groups, [](const auto& g) { return g.empty(); });
+  return groups;
+}
+
+TEST(CrossShardLookahead, MatchesTheFullScanOnRandomPlansAndDownSets) {
+  util::Rng rng(1506);
+  // Few levels tie everywhere; 2^20 levels are nearly distinct.
+  for (const std::size_t levels : {12, 1 << 20}) {
+    for (const std::size_t n : {2, 3, 17, 64, 300}) {
+      const TableRtt rtt(n, rng, levels);
+      CrossShardLookahead index;  // one per run: reused across every plan
+      for (const std::size_t shards : {1, 2, 4, 8}) {
+        for (int trial = 0; trial < 6; ++trial) {
+          const ShardPlan plan(random_groups(n, rng), n, shards);
+          std::vector<bool> random_down(n);
+          for (std::size_t c = 0; c < n; ++c) {
+            random_down[c] = rng.bernoulli(0.3);
+          }
+          const std::size_t kept_shard = plan.shard_of_cache(0);
+          const std::vector<std::pair<const char*, ActiveCachePredicate>>
+              down_sets = {
+                  {"none", nullptr},
+                  {"random",
+                   [&](cache::CacheIndex c) { return !random_down[c]; }},
+                  {"all", [](cache::CacheIndex) { return false; }},
+                  {"all but one shard",
+                   [&](cache::CacheIndex c) {
+                     return plan.shard_of_cache(c) == kept_shard;
+                   }},
+              };
+          for (const auto& [name, active] : down_sets) {
+            EXPECT_EQ(index.min_rtt_ms(plan, rtt, n, active),
+                      min_cross_shard_rtt_ms(plan, rtt, n,
+                                             kExactLookaheadCaches, active))
+                << "levels=" << levels << " n=" << n << " shards=" << shards
+                << " trial=" << trial << " down=" << name;
+          }
+        }
+      }
+      EXPECT_LE(index.kept_pairs(),
+                CrossShardLookahead::kKeptPairsPerCache * n);
+      EXPECT_GT(index.fallbacks(), 0u);  // the all-down sets always fall back
+    }
+  }
+}
+
+TEST(CrossShardLookahead, OnePairPassPerRunThenOnlyWalks) {
+  constexpr std::size_t kN = 64;
+  util::Rng rng(7);
+  const TableRtt rtt(kN, rng);
+  CrossShardLookahead index;
+  // One shard has no cross pair: nothing is read, nothing is built.
+  EXPECT_TRUE(std::isinf(
+      index.min_rtt_ms(ShardPlan(random_groups(kN, rng), kN, 1), rtt, kN)));
+  EXPECT_EQ(rtt.lookups(), 0u);
+  EXPECT_EQ(index.kept_pairs(), 0u);
+
+  std::vector<cache::CacheIndex> order(kN);
+  for (cache::CacheIndex c = 0; c < kN; ++c) order[c] = c;
+  for (int reshard = 0; reshard < 20; ++reshard) {
+    // 16 random groups of 4: every plan spreads over all four shards.
+    rng.shuffle(order);
+    std::vector<std::vector<cache::CacheIndex>> groups(16);
+    for (std::size_t i = 0; i < kN; ++i) groups[i / 4].push_back(order[i]);
+    const ShardPlan plan(groups, kN, 4);
+    const std::size_t before = rtt.lookups();
+    const double got = index.min_rtt_ms(plan, rtt, kN);
+    const std::size_t read = rtt.lookups() - before;
+    if (reshard == 0) {
+      EXPECT_EQ(read, kN * (kN - 1) / 2);  // the one pass
+      EXPECT_EQ(index.kept_pairs(),
+                CrossShardLookahead::kKeptPairsPerCache * kN);
+    } else {
+      EXPECT_EQ(read, 0u) << "reshard " << reshard;  // a walk reads nothing
+    }
+    EXPECT_EQ(got, min_cross_shard_rtt_ms(plan, rtt, kN)) << reshard;
+  }
+  EXPECT_EQ(index.fallbacks(), 0u);
+}
+
+TEST(CrossShardLookahead, FallsBackToTheScanWhenNoKeptPairCrossesShards) {
+  // Two tight clusters of 20, each pinned to its own shard: 2 x 190
+  // intra-cluster pairs at 1-3 ms crowd the 80-pair list, so no kept
+  // pair crosses shards and the scan must find the 50 ms+ cross pair.
+  constexpr std::size_t kN = 40;
+  net::DistanceMatrix m(kN);
+  util::Rng rng(3);
+  for (std::size_t a = 0; a < kN; ++a) {
+    for (std::size_t b = a + 1; b < kN; ++b) {
+      const bool same = (a < 20) == (b < 20);
+      m.set(a, b, same ? static_cast<double>(1 + rng.index(3))
+                       : static_cast<double>(50 + rng.index(30)));
+    }
+  }
+  const net::MatrixRttProvider rtt(m);
+  std::vector<std::vector<cache::CacheIndex>> clusters(2);
+  for (cache::CacheIndex c = 0; c < kN; ++c) clusters[c < 20 ? 0 : 1].push_back(c);
+  const ShardPlan plan(clusters, kN, 2);
+  ASSERT_NE(plan.shard_of_cache(0), plan.shard_of_cache(20));
+
+  CrossShardLookahead index;
+  const double got = index.min_rtt_ms(plan, rtt, kN);
+  EXPECT_EQ(index.fallbacks(), 1u);
+  EXPECT_EQ(index.kept_pairs(), CrossShardLookahead::kKeptPairsPerCache * kN);
+  EXPECT_EQ(got, min_cross_shard_rtt_ms(plan, rtt, kN));
+  EXPECT_GE(got, 50.0);
+}
+
+TEST(CrossShardLookahead, AboveTheExactLimitSamplesAsBefore) {
+  constexpr std::size_t kN = kExactLookaheadCaches + 1;
+  const net::PlaneRttProvider rtt(kN + 1, net::PlaneOptions{});
+  std::vector<std::vector<cache::CacheIndex>> halves(2);
+  for (cache::CacheIndex c = 0; c < kN; ++c) halves[c % 2].push_back(c);
+  const ShardPlan plan(halves, kN, 2);
+  CrossShardLookahead index;
+  EXPECT_EQ(index.min_rtt_ms(plan, rtt, kN),
+            min_cross_shard_rtt_ms(plan, rtt, kN));
+  EXPECT_EQ(index.kept_pairs(), 0u);
 }
 
 // ----------------------------------------------------------------------
@@ -752,6 +915,151 @@ TEST(ShardedSimScale, SingleGroupOnSixteenShardsDispatchesNoEmptyWindows) {
   EXPECT_EQ(sixteen_shard_windows, one_shard_windows);
   EXPECT_EQ(sixteen_shard_cuts, one_shard_cuts);
   EXPECT_GT(sixteen_shard_windows, 0u);
+}
+
+// ----------------------------------------------------------------------
+// Maintained churn: the cut schedule stays exactly what the full pair
+// scan at every reshard produced.
+// ----------------------------------------------------------------------
+
+// A maintained, churning run big enough that the lookahead list (2·n
+// pairs) is a strict subset of the 4,560 cache pairs and the plan changes
+// at every repair and re-formation: 96 caches on a plane with RTTs
+// rounded to whole milliseconds (ties), half of them drifting, rolling
+// leave/rejoin churn and two failures.
+constexpr std::size_t kChurnCaches = 96;
+constexpr net::HostId kChurnServer = kChurnCaches;
+
+net::DistanceMatrix churn_matrix() {
+  net::PlaneOptions plane_options;
+  plane_options.seed = 2006;
+  const net::PlaneRttProvider plane(kChurnCaches + 1, plane_options);
+  net::DistanceMatrix m(kChurnCaches + 1);
+  for (std::size_t a = 0; a <= kChurnCaches; ++a) {
+    for (std::size_t b = a + 1; b <= kChurnCaches; ++b) {
+      m.set(a, b, std::round(plane.rtt_ms(static_cast<net::HostId>(a),
+                                          static_cast<net::HostId>(b))));
+    }
+  }
+  return m;
+}
+
+workload::Trace churn_trace() {
+  workload::Trace trace;
+  trace.duration_ms = 20'000.0;
+  for (std::size_t i = 0; i < 4'000; ++i) {
+    trace.requests.push_back({2.0 + static_cast<double>(i) * 4.9,
+                              static_cast<std::uint32_t>((i * 37) % kChurnCaches),
+                              static_cast<std::uint32_t>((i * 13) % 60)});
+  }
+  for (std::size_t u = 0; u < 10; ++u) {
+    trace.updates.push_back({900.0 + static_cast<double>(u) * 1'900.0,
+                             static_cast<std::uint32_t>((u * 7) % 60)});
+  }
+  return trace;
+}
+
+struct ChurnRun {
+  std::string report;
+  std::uint64_t reshaping = 0;  ///< repairs + re-formations
+  std::uint64_t cuts = 0;
+  std::uint64_t windows = 0;
+  double epoch_initial_ms = 0.0;
+};
+
+/// shards == 0 runs the sequential simulator.
+ChurnRun run_maintained_churn(std::size_t shards) {
+  util::Rng drift_rng(11);
+  net::DriftOptions drift;
+  drift.drift_fraction = 0.5;
+  drift.ramp_start_ms = 4'000.0;
+  drift.ramp_end_ms = 14'000.0;
+  drift.max_weight = 1.0;
+  net::DriftingRttProvider provider(churn_matrix(), drift, drift_rng);
+
+  ctl::MaintenanceConfig mc;
+  mc.landmarks = {kChurnServer, 0, 24, 48, 72};
+  for (std::uint32_t c = 0; c < kChurnCaches; ++c) {
+    std::vector<double> position;
+    for (net::HostId l : mc.landmarks) position.push_back(provider.rtt_ms(c, l));
+    mc.baseline_positions.push_back(std::move(position));
+  }
+  mc.initial_partition.resize(8);
+  for (std::uint32_t c = 0; c < kChurnCaches; ++c) {
+    mc.initial_partition[c % 8].push_back(c);
+  }
+  mc.policy.repair_threshold_ms = 6.0;
+  mc.policy.reform_threshold_ms = 15.0;
+  mc.budget.caches_per_tick = 8;
+  mc.prober.probes_per_measurement = 1;
+  mc.prober.jitter_sigma = 0.0;
+  mc.kmeans.restarts = 2;
+  mc.seed = 5;
+  ctl::MaintenanceSession session(provider, mc);
+
+  std::vector<cache::DocumentInfo> docs(60);
+  for (auto& d : docs) d = {1'000, 20.0, 0.0};
+  const cache::Catalog catalog(std::move(docs));
+
+  sim::SimulationConfig config;
+  config.groups = mc.initial_partition;
+  config.cache_capacity_bytes = 8'000;
+  config.policy = cache::PolicyKind::kLru;
+  config.warmup_fraction = 0.0;
+  config.control_hook = &session;
+  config.control_interval_ms = 800.0;
+  for (std::uint32_t j = 0; j < 12; ++j) {
+    const double leave = 3'000.0 + 900.0 * j;
+    config.membership_events.push_back(
+        {sim::MembershipChange::Kind::kLeave, j * 7, leave});
+    config.membership_events.push_back(
+        {sim::MembershipChange::Kind::kJoin, j * 7, leave + 2'500.0});
+  }
+  std::sort(config.membership_events.begin(), config.membership_events.end(),
+            [](const sim::MembershipChange& a, const sim::MembershipChange& b) {
+              return a.time_ms < b.time_ms;
+            });
+  config.failures = {{5, 6'100.0}, {90, 11'300.0}};
+
+  ChurnRun run;
+  sim::SimulationReport report;
+  if (shards == 0) {
+    sim::Simulator sim(catalog, provider, kChurnServer, std::move(config));
+    provider.bind_clock(sim.clock_ptr());
+    report = sim.run(churn_trace());
+  } else {
+    ShardOptions options;
+    options.shards = shards;
+    ShardedSimulator sim(catalog, provider, kChurnServer, std::move(config),
+                         options);
+    provider.bind_clock(sim.clock_ptr());
+    report = sim.run(churn_trace());
+    run.cuts = sim.cuts_executed();
+    run.windows = sim.windows_dispatched();
+    run.epoch_initial_ms = sim.epoch_initial_ms();
+  }
+  std::ostringstream out;
+  obs::write_report_jsonl(out, report, "churn");
+  run.report = out.str();
+  run.reshaping = session.repairs() + session.reforms();
+  return run;
+}
+
+TEST(ShardedSimChurn, CutScheduleMatchesThePerReshardScan) {
+  const ChurnRun seq = run_maintained_churn(0);
+  // {shards, cuts, windows}: the values the driver produced when every
+  // reshard rescanned all cache pairs.
+  const std::tuple<std::size_t, std::uint64_t, std::uint64_t> expected[] = {
+      {2, 184, 333}, {4, 186, 576}, {8, 186, 950}};
+  for (const auto& [shards, cuts, windows] : expected) {
+    const ChurnRun run = run_maintained_churn(shards);
+    EXPECT_EQ(run.report, seq.report) << shards << " shards";
+    EXPECT_EQ(run.reshaping, seq.reshaping) << shards << " shards";
+    EXPECT_EQ(run.cuts, cuts) << shards << " shards";
+    EXPECT_EQ(run.windows, windows) << shards << " shards";
+    EXPECT_EQ(run.epoch_initial_ms, 6.0) << shards << " shards";
+  }
+  EXPECT_GE(seq.reshaping, 5u);  // the plan really changed, many times
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 //   prober_fv         per-landmark measure_rtt_ms loop → measure_many batch
 //   lookahead         full cross-shard pair scan at every reshard →
 //                     per-run closest-pair list (shard::CrossShardLookahead)
+//   regroup           directory rebuild from scratch at every regrouping →
+//                     sim::ShardableEngine::apply_groups, which moves only
+//                     the caches that changed group
 //   e2e_sl / e2e_sdsl whole-scheme formation with kmeans.prune off → on
 //
 // Output: a human table on stdout, `# shape-check:` equality verdicts, and
@@ -20,10 +23,13 @@
 // correctness gate (equality checks only; smoke timings are noise).
 #include <cstddef>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "cache/catalog.h"
+#include "cache/directory.h"
 #include "cluster/init.h"
 #include "cluster/kmeans.h"
 #include "coords/feature_vector.h"
@@ -34,12 +40,14 @@
 #include "net/synthetic.h"
 #include "perf_harness.h"
 #include "shard/plan.h"
+#include "sim/engine.h"
 #include "topology/attachment.h"
 #include "topology/shortest_paths.h"
 #include "topology/transit_stub.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/zipf.h"
 
 namespace {
 
@@ -59,6 +67,8 @@ struct Config {
   std::size_t landmarks = 25;
   std::size_t lookahead_caches = 1024;
   std::size_t lookahead_reshards = 24;
+  std::size_t regroup_caches = 1024;
+  std::size_t regroup_steps = 24;
   std::vector<std::size_t> e2e_n;
   std::size_t e2e_k = 16;
   std::size_t warmup = 1;
@@ -83,6 +93,8 @@ Config smoke_config() {
   c.landmarks = 8;
   c.lookahead_caches = 512;
   c.lookahead_reshards = 8;
+  c.regroup_caches = 256;
+  c.regroup_steps = 16;
   c.e2e_n = {48};
   c.e2e_k = 4;
   c.warmup = 0;
@@ -506,6 +518,233 @@ void bench_lookahead(perf::Report& report, const Config& cfg,
 }
 
 // --------------------------------------------------------------------------
+// regroup: the directory cut-over of sim::ShardableEngine::apply_groups on
+// a warmed engine, one maintained run's worth of regroupings. Naive: a
+// rebuild from scratch over the engine's public state — fresh directories,
+// then every live cache's resident documents registered in cache-index
+// order, which is what apply_groups did before it moved only the caches
+// that changed group. Optimised: apply_groups. Between regroupings an
+// untimed burst of requests reorders holder lists, as serve traffic does.
+
+struct DiscardSink final : sim::EffectSink {
+  void emit(const obs::TraceEvent&) override {}
+  void record(cache::CacheIndex, double, sim::Resolution,
+              sim::SimTime) override {}
+  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
+};
+
+using Partition = std::vector<std::vector<cache::CacheIndex>>;
+
+std::vector<cache::GroupDirectory> rebuild_directories(
+    const sim::ShardableEngine& engine, const Partition& groups) {
+  std::vector<std::size_t> group_of(engine.cache_count(), groups.size());
+  std::vector<cache::GroupDirectory> dirs;
+  dirs.reserve(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    dirs.emplace_back(groups[g], engine.config().beacons_per_group);
+    for (cache::CacheIndex c : groups[g]) group_of[c] = g;
+  }
+  for (std::size_t c = 0; c < engine.cache_count(); ++c) {
+    const auto holder = static_cast<cache::CacheIndex>(c);
+    if (engine.is_down(holder)) continue;
+    auto& dir = dirs[group_of[c]];
+    for (cache::DocId d : engine.edge_cache(holder).resident_docs()) {
+      dir.add_holder(d, holder);
+    }
+  }
+  return dirs;
+}
+
+/// Members, beacons, registration counts and every holder list in order.
+bool same_directories(const sim::ShardableEngine& engine,
+                      const std::vector<cache::GroupDirectory>& want,
+                      std::size_t docs) {
+  if (engine.groups().size() != want.size()) return false;
+  for (std::size_t g = 0; g < want.size(); ++g) {
+    const cache::GroupDirectory& got =
+        engine.directory_of(engine.groups()[g].front());
+    if (got.members() != want[g].members() ||
+        got.beacon_count() != want[g].beacon_count() ||
+        got.registration_count() != want[g].registration_count()) {
+      return false;
+    }
+    for (cache::DocId d = 0; d < docs; ++d) {
+      if (got.holders(d) != want[g].holders(d)) return false;
+    }
+  }
+  return true;
+}
+
+/// The next regrouping of a maintained run: mostly repairs that move one
+/// to eight caches; every eighth step a group empties into the others (so
+/// later group indices shift), and four steps later a group splits in two
+/// (a new group at the end).
+Partition next_regrouping(Partition groups, std::size_t step,
+                          util::Rng& rng) {
+  if (step % 8 == 7 && groups.size() > 2) {
+    const std::size_t g = rng.index(groups.size());
+    const std::vector<cache::CacheIndex> members = std::move(groups[g]);
+    groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(g));
+    for (cache::CacheIndex c : members) {
+      groups[rng.index(groups.size())].push_back(c);
+    }
+  } else if (step % 8 == 3) {
+    auto& split = groups[rng.index(groups.size())];
+    if (split.size() >= 2) {
+      const auto half = static_cast<std::ptrdiff_t>(split.size() / 2);
+      std::vector<cache::CacheIndex> tail(split.begin() + half, split.end());
+      split.resize(static_cast<std::size_t>(half));
+      groups.push_back(std::move(tail));
+    }
+  } else {
+    const std::size_t moves = 1 + rng.index(8);
+    for (std::size_t m = 0; m < moves; ++m) {
+      const std::size_t from = rng.index(groups.size());
+      const std::size_t to = rng.index(groups.size());
+      if (from == to || groups[from].size() < 2) continue;
+      const std::size_t k = rng.index(groups[from].size());
+      groups[to].push_back(groups[from][k]);
+      groups[from].erase(groups[from].begin() +
+                         static_cast<std::ptrdiff_t>(k));
+    }
+  }
+  return groups;
+}
+
+/// Naive and optimised milliseconds over one pass of regroupings.
+struct RegroupPass {
+  double naive_ms = 0.0;
+  double optimized_ms = 0.0;
+  bool equal = true;
+};
+
+/// One pass on a fresh engine in the `churn` workload's shape: 2,000
+/// generated documents, 2 MB utility caches with three beacons per group,
+/// K = caches/64 groups, and a Zipf(0.9) stream that warms each cache with
+/// 16 requests and then sends caches/4 requests between regroupings (about
+/// 22 per cache over the pass; churn serves 20). Every pass is seeded the
+/// same, so passes repeat the same work. Each step times both sides on the
+/// same engine state, in alternating order, and compares the directories
+/// outside the timed region.
+RegroupPass regroup_pass(const net::RttProvider& rtt,
+                         const cache::Catalog& catalog, std::size_t caches,
+                         std::size_t steps) {
+  const workload::ZipfSampler zipf(catalog.size(), 0.9);
+  util::Rng rng(43);
+  util::Rng serve_rng = rng.fork(1);
+  util::Rng group_rng = rng.fork(2);
+
+  std::vector<cache::CacheIndex> order(caches);
+  std::iota(order.begin(), order.end(), cache::CacheIndex{0});
+  group_rng.shuffle(order);
+  Partition groups(std::max<std::size_t>(2, caches / 64));
+  for (std::size_t j = 0; j < caches; ++j) {
+    groups[j % groups.size()].push_back(order[j]);
+  }
+  sim::SimulationConfig config;
+  config.groups = groups;
+  config.cache_capacity_bytes = 2ull << 20;
+  config.policy = cache::PolicyKind::kUtility;
+  config.beacons_per_group = 3;
+  sim::ShardableEngine engine(catalog, rtt,
+                              static_cast<net::HostId>(caches), config);
+
+  DiscardSink sink;
+  sim::SimTime now = 0.0;
+  std::uint64_t index = 0;
+  const auto serve = [&](std::size_t requests) {
+    for (std::size_t r = 0; r < requests; ++r) {
+      now += 0.01;
+      const workload::Request request{
+          now, static_cast<std::uint32_t>(serve_rng.index(caches)),
+          static_cast<cache::DocId>(zipf.sample(serve_rng))};
+      engine.on_complete(engine.on_request(index++, request, now, sink),
+                         sink);
+    }
+  };
+  serve(16 * caches);
+  // About 1% of the caches crash and 1% leave; they stay down all pass,
+  // and the departed ones drop out of the partition (one untimed cut-over).
+  for (std::size_t c = 0; c < caches; ++c) {
+    const auto i = static_cast<cache::CacheIndex>(c);
+    if (group_rng.bernoulli(0.01)) engine.on_failure(i, now, sink);
+    if (group_rng.bernoulli(0.01)) engine.on_leave(i, now, sink);
+  }
+  for (auto& g : groups) {
+    std::erase_if(g,
+                  [&](cache::CacheIndex c) { return engine.is_departed(c); });
+  }
+  std::erase_if(groups, [](const auto& g) { return g.empty(); });
+  engine.apply_groups(groups);
+
+  RegroupPass pass;
+  for (std::size_t step = 0; step < steps; ++step) {
+    serve(caches / 4);
+    groups = next_regrouping(std::move(groups), step, group_rng);
+    std::vector<cache::GroupDirectory> rebuilt;
+    const auto naive = [&] { rebuilt = rebuild_directories(engine, groups); };
+    const auto optimized = [&] { engine.apply_groups(groups); };
+    if (step % 2 == 0) {
+      pass.naive_ms += perf::time_once_ms(naive);
+      pass.optimized_ms += perf::time_once_ms(optimized);
+    } else {
+      pass.optimized_ms += perf::time_once_ms(optimized);
+      pass.naive_ms += perf::time_once_ms(naive);
+    }
+    pass.equal =
+        pass.equal && same_directories(engine, rebuilt, catalog.size());
+  }
+  return pass;
+}
+
+void bench_regroup(perf::Report& report, const Config& cfg,
+                   const std::string& filter) {
+  if (!wants(filter, "regroup")) return;
+  const std::size_t caches = cfg.regroup_caches;
+  net::PlaneOptions plane;
+  plane.seed = 41;
+  const net::PlaneRttProvider rtt(caches + 1, plane);
+  util::Rng catalog_rng(47);
+  const cache::Catalog catalog =
+      cache::Catalog::generate(cache::CatalogParams{}, catalog_rng);
+
+  const std::size_t reps = reps_for(caches, cfg);
+  std::vector<double> naive_ms, optimized_ms;
+  std::size_t checked = 0;
+  bool equal = true;
+  for (std::size_t rep = 0; rep < cfg.warmup + reps; ++rep) {
+    const RegroupPass pass =
+        regroup_pass(rtt, catalog, caches, cfg.regroup_steps);
+    equal = equal && pass.equal;
+    checked += cfg.regroup_steps;
+    if (rep < cfg.warmup) continue;
+    naive_ms.push_back(pass.naive_ms);
+    optimized_ms.push_back(pass.optimized_ms);
+  }
+  shape_check("regroup apply_groups == rebuild from scratch after every one "
+              "of " + std::to_string(checked) + " regroupings (caches=" +
+                  std::to_string(caches) + ")",
+              equal);
+
+  perf::Entry e;
+  e.bench = "regroup";
+  e.params = "caches=" + std::to_string(caches) +
+             " steps=" + std::to_string(cfg.regroup_steps);
+  e.n = caches;
+  e.naive = perf::summarize(naive_ms);
+  e.optimized = perf::summarize(optimized_ms);
+  if (cfg.timing_checks) {
+    // Measured 3.3-3.4x on a 4-core x86-64 host. The three steps per pass
+    // that empty a group renumber every later group, so every cache of
+    // those groups moves.
+    shape_check("regroup apply_groups >= 2x the rebuild from scratch over a "
+                "pass",
+                e.speedup() >= 2.0);
+  }
+  report.add(std::move(e));
+}
+
+// --------------------------------------------------------------------------
 // e2e: whole SL / SDSL formation over a synthetic network, kmeans.prune off
 // vs on. Everything else (landmarks, probing, positions) is shared cost, so
 // this shows the end-to-end effect of the kernel work.
@@ -573,6 +812,7 @@ int main(int argc, char** argv) {
   flags.define("filter",
                "substring filter on bench names "
                "(kmeans, distance_matrix, dijkstra, prober_fv, lookahead, "
+               "regroup, "
                "e2e_sl, e2e_sdsl); empty = all",
                "");
   flags.define("threads",
@@ -598,6 +838,7 @@ int main(int argc, char** argv) {
   bench_dijkstra(report, cfg, filter);
   bench_prober_fv(report, cfg, filter);
   bench_lookahead(report, cfg, filter);
+  bench_regroup(report, cfg, filter);
   bench_e2e(report, cfg, filter, /*sdsl=*/false);
   bench_e2e(report, cfg, filter, /*sdsl=*/true);
 

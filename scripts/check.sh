@@ -311,6 +311,12 @@ if ! grep -q "shape-check: PASS — lookahead index == full scan" <<<"$perf_out"
   echo "!! perf smoke did not run the lookahead equality check" >&2
   fail=1
 fi
+# Likewise the regroup pair's: apply_groups must equal a directory rebuild
+# from scratch after every regrouping.
+if ! grep -q "shape-check: PASS — regroup apply_groups == rebuild from scratch" <<<"$perf_out"; then
+  echo "!! perf smoke did not run the regroup equality check" >&2
+  fail=1
+fi
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$perf_json" \
     || { echo "!! perf smoke JSON does not parse" >&2; fail=1; }
@@ -404,16 +410,17 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
   if c++ -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" \
        >/dev/null 2>&1 && "$asan_probe/probe"; then
-    echo "== AddressSanitizer shard (sim_test, shard_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
+    echo "== AddressSanitizer shard (sim_test, shard_test, ctl_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
     asan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-asan/CMakeCache.txt ]]; then
       asan_generator=(-G Ninja)
     fi
     cmake -B build-asan "${asan_generator[@]}" -DECGF_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    # ctl_test drives apply_groups through the maintenance session.
     cmake --build build-asan -j"$(nproc)" --target sim_test shard_test \
-      schemes_test net_test cache_test netmodel_test workload_test live_test \
-      perf_kernels_test
+      ctl_test schemes_test net_test cache_test netmodel_test workload_test \
+      live_test perf_kernels_test
     # gtest_discover_tests registers per-case names (not binary names), so
     # run everything discovered in this tree except the <target>_NOT_BUILT
     # placeholders of the test binaries we deliberately didn't build.

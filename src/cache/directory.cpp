@@ -5,11 +5,22 @@
 namespace ecgf::cache {
 
 GroupDirectory::GroupDirectory(std::vector<CacheIndex> members,
-                               std::size_t beacon_count)
-    : members_(std::move(members)),
-      beacons_(beacon_count == 0 ? members_.size()
-                                 : std::min(beacon_count, members_.size())) {
-  ECGF_EXPECTS(!members_.empty());
+                               std::size_t beacon_count) {
+  reassign(std::move(members), beacon_count);
+}
+
+void GroupDirectory::reassign(std::vector<CacheIndex> members,
+                              std::size_t beacon_count) {
+  ECGF_EXPECTS(!members.empty());
+  members_ = std::move(members);
+  beacons_ = beacon_count == 0 ? members_.size()
+                               : std::min(beacon_count, members_.size());
+}
+
+void GroupDirectory::sort_holders() {
+  for (auto& [doc, hs] : holders_) {
+    if (!std::is_sorted(hs.begin(), hs.end())) std::sort(hs.begin(), hs.end());
+  }
 }
 
 CacheIndex GroupDirectory::beacon_for(DocId doc) const {

@@ -30,6 +30,16 @@ class GroupDirectory {
   const std::vector<CacheIndex>& members() const { return members_; }
   std::size_t beacon_count() const { return beacons_; }
 
+  /// Regrouping cut-over: replace the member list and re-derive the
+  /// beacons exactly as the constructor does, keeping every holder
+  /// registration. The caller moves the registrations of caches that left
+  /// or joined the group.
+  void reassign(std::vector<CacheIndex> members, std::size_t beacon_count = 0);
+
+  /// Sort every holder list ascending — the order a directory filled in
+  /// cache-index order has. Lists already in order are left untouched.
+  void sort_holders();
+
   /// The member acting as the beacon point for `doc` (hash partitioning).
   CacheIndex beacon_for(DocId doc) const;
 
@@ -54,7 +64,7 @@ class GroupDirectory {
 
  private:
   std::vector<CacheIndex> members_;
-  std::size_t beacons_;
+  std::size_t beacons_ = 0;
   std::unordered_map<DocId, std::vector<CacheIndex>> holders_;
   std::vector<CacheIndex> empty_;
   std::size_t registrations_ = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
+#include "obs/profile.h"
 #include "util/expect.h"
 
 namespace ecgf::sim {
@@ -208,6 +210,7 @@ bool ShardableEngine::on_join(cache::CacheIndex cache, SimTime t,
 
 void ShardableEngine::apply_groups(
     const std::vector<std::vector<cache::CacheIndex>>& groups) {
+  ECGF_PROF_SCOPE("sim.apply_groups");
   ECGF_EXPECTS(!groups.empty());
   constexpr auto kUnassigned = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> new_group_of(cache_count_, kUnassigned);
@@ -230,23 +233,40 @@ void ShardableEngine::apply_groups(
     }
   }
 
+  // The cut-over costs in proportion to what moved, and leaves every
+  // directory exactly as a rebuild from scratch would. Directory g serves
+  // new group g wherever both partitions have a group g: members and
+  // beacons are re-derived, registrations kept. Directories past the old
+  // count are built fresh; those past the new count are dropped.
+  const std::vector<std::size_t> old_group_of = std::exchange(
+      group_of_, std::move(new_group_of));
   config_.groups = groups;
-  group_of_ = std::move(new_group_of);
-  directories_.clear();
-  directories_.reserve(groups.size());
-  for (const auto& g : groups) {
-    directories_.push_back(
-        std::make_unique<cache::GroupDirectory>(g, config_.beacons_per_group));
+  const std::size_t kept = std::min(directories_.size(), groups.size());
+  for (std::size_t g = 0; g < kept; ++g) {
+    directories_[g]->reassign(groups[g], config_.beacons_per_group);
   }
-  // Cooperative state survives the cut-over: every live cache re-registers
-  // its resident documents with its new group's directory.
+  directories_.resize(kept);
+  for (std::size_t g = kept; g < groups.size(); ++g) {
+    directories_.push_back(std::make_unique<cache::GroupDirectory>(
+        groups[g], config_.beacons_per_group));
+  }
+  // Cooperative state survives the cut-over: every live cache whose group
+  // index changed moves its registrations to its new group's directory.
+  // Down and departed caches hold none.
   for (std::size_t c = 0; c < cache_count_; ++c) {
-    if (down_[c]) continue;
-    auto& dir = *directories_[group_of_[c]];
-    for (cache::DocId d : caches_[c]->resident_docs()) {
-      dir.add_holder(d, static_cast<cache::CacheIndex>(c));
+    const std::size_t from = old_group_of[c];
+    const std::size_t to = group_of_[c];
+    if (down_[c] || from == to) continue;
+    const auto holder = static_cast<cache::CacheIndex>(c);
+    const std::vector<cache::DocId> docs = caches_[c]->resident_docs();
+    if (from < kept) {
+      for (cache::DocId d : docs) directories_[from]->remove_holder(d, holder);
     }
+    for (cache::DocId d : docs) directories_[to]->add_holder(d, holder);
   }
+  // A rebuild registers caches in index order, and request_beacon breaks
+  // RTT ties between holders by list position.
+  for (auto& dir : directories_) dir->sort_holders();
   ++regroupings_;
 }
 

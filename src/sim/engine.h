@@ -164,8 +164,12 @@ class ShardableEngine {
                std::uint32_t* group_out);
 
   /// Replace the group partition mid-run (the control plane's actuator).
-  /// `groups` must partition exactly the non-departed caches. Live caches
-  /// re-register resident documents with their new beacons.
+  /// `groups` must partition exactly the non-departed caches; a rejected
+  /// partition throws before any state changes. Directory g is reused for
+  /// new group g, and only the live caches whose group index changed move
+  /// their registrations, so the cost follows what moved. Every directory
+  /// ends exactly as a rebuild from scratch would leave it: members,
+  /// beacons, and holder lists in ascending cache order.
   void apply_groups(const std::vector<std::vector<cache::CacheIndex>>& groups);
 
   /// Rebuild every cache's Bloom summary (summary directory mode).

@@ -925,20 +925,22 @@ TEST(ShardedSimScale, SingleGroupOnSixteenShardsDispatchesNoEmptyWindows) {
 // A maintained, churning run big enough that the lookahead list (2·n
 // pairs) is a strict subset of the 4,560 cache pairs and the plan changes
 // at every repair and re-formation: 96 caches on a plane with RTTs
-// rounded to whole milliseconds (ties), half of them drifting, rolling
-// leave/rejoin churn and two failures.
+// rounded to a multiple of `quantum_ms` (whole milliseconds by default;
+// ties), half of them drifting, rolling leave/rejoin churn and two
+// failures.
 constexpr std::size_t kChurnCaches = 96;
 constexpr net::HostId kChurnServer = kChurnCaches;
 
-net::DistanceMatrix churn_matrix() {
+net::DistanceMatrix churn_matrix(double quantum_ms = 1.0) {
   net::PlaneOptions plane_options;
   plane_options.seed = 2006;
   const net::PlaneRttProvider plane(kChurnCaches + 1, plane_options);
   net::DistanceMatrix m(kChurnCaches + 1);
   for (std::size_t a = 0; a <= kChurnCaches; ++a) {
     for (std::size_t b = a + 1; b <= kChurnCaches; ++b) {
-      m.set(a, b, std::round(plane.rtt_ms(static_cast<net::HostId>(a),
-                                          static_cast<net::HostId>(b))));
+      const double rtt = plane.rtt_ms(static_cast<net::HostId>(a),
+                                      static_cast<net::HostId>(b));
+      m.set(a, b, quantum_ms * std::round(rtt / quantum_ms));
     }
   }
   return m;
@@ -967,15 +969,17 @@ struct ChurnRun {
   double epoch_initial_ms = 0.0;
 };
 
-/// shards == 0 runs the sequential simulator.
-ChurnRun run_maintained_churn(std::size_t shards) {
+/// shards == 0 runs the sequential simulator. With a `tracer` the engine
+/// and the maintenance session trace into it.
+ChurnRun run_maintained_churn(std::size_t shards, double quantum_ms = 1.0,
+                              obs::Tracer* tracer = nullptr) {
   util::Rng drift_rng(11);
   net::DriftOptions drift;
   drift.drift_fraction = 0.5;
   drift.ramp_start_ms = 4'000.0;
   drift.ramp_end_ms = 14'000.0;
   drift.max_weight = 1.0;
-  net::DriftingRttProvider provider(churn_matrix(), drift, drift_rng);
+  net::DriftingRttProvider provider(churn_matrix(quantum_ms), drift, drift_rng);
 
   ctl::MaintenanceConfig mc;
   mc.landmarks = {kChurnServer, 0, 24, 48, 72};
@@ -995,6 +999,7 @@ ChurnRun run_maintained_churn(std::size_t shards) {
   mc.prober.jitter_sigma = 0.0;
   mc.kmeans.restarts = 2;
   mc.seed = 5;
+  if (tracer != nullptr) mc.trace = obs::TraceContext::root(tracer, 7);
   ctl::MaintenanceSession session(provider, mc);
 
   std::vector<cache::DocumentInfo> docs(60);
@@ -1020,6 +1025,7 @@ ChurnRun run_maintained_churn(std::size_t shards) {
               return a.time_ms < b.time_ms;
             });
   config.failures = {{5, 6'100.0}, {90, 11'300.0}};
+  if (tracer != nullptr) config.trace = obs::TraceContext::root(tracer, 1);
 
   ChurnRun run;
   sim::SimulationReport report;
@@ -1060,6 +1066,38 @@ TEST(ShardedSimChurn, CutScheduleMatchesThePerReshardScan) {
     EXPECT_EQ(run.epoch_initial_ms, 6.0) << shards << " shards";
   }
   EXPECT_GE(seq.reshaping, 5u);  // the plan really changed, many times
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The tie-heavy churning run's report and trace bytes, pinned to the
+// values of a full directory rebuild at every regrouping. RTTs in 40 ms
+// steps make holder ties common, and request_beacon breaks them by holder
+// list position, so a cut-over that leaves any list out of ascending order
+// changes which peer serves, and with it the bytes.
+TEST(ShardedSimChurn, TieHeavyRunMatchesTheRebuildHashes) {
+  util::set_trace_enabled(true);
+  constexpr std::uint64_t kReportFnv = 0x8d58a99b27adc70fULL;
+  constexpr std::uint64_t kTraceFnv = 0x6a2f025b998e060eULL;
+  for (std::size_t shards : {0u, 1u, 4u}) {
+    std::ostringstream trace;
+    ChurnRun run;
+    {
+      obs::Tracer tracer(std::make_unique<obs::JsonlTraceSink>(trace));
+      run = run_maintained_churn(shards, /*quantum_ms=*/40.0, &tracer);
+    }
+    EXPECT_EQ(fnv1a(run.report), kReportFnv) << shards << " shards";
+    EXPECT_EQ(fnv1a(trace.str()), kTraceFnv) << shards << " shards";
+    EXPECT_GE(run.reshaping, 5u) << shards << " shards";
+  }
+  util::set_trace_enabled(false);
 }
 
 }  // namespace

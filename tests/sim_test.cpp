@@ -12,6 +12,7 @@
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
+#include "sim/engine.h"
 #include "sim/simulator.h"
 #include "util/expect.h"
 #include "util/flags.h"
@@ -403,6 +404,320 @@ TEST(Simulator, TraceEventsConserveRequests) {
   EXPECT_EQ(requests, report.raw_counts.total());
   EXPECT_EQ(resolutions, report.raw_counts.total());
   EXPECT_EQ(report.raw_counts.total(), 150u);
+}
+
+
+// ----------------------------------------------------------------------
+// ShardableEngine::apply_groups: the incremental cut-over must leave every
+// directory exactly as a rebuild from scratch would — members, beacons,
+// registration counts and every holder list in order (request_beacon
+// breaks RTT ties between holders by list position).
+// ----------------------------------------------------------------------
+
+struct DiscardSink final : EffectSink {
+  void emit(const obs::TraceEvent&) override {}
+  void record(cache::CacheIndex, double, Resolution, SimTime) override {}
+  void rtt_sample(net::HostId, net::HostId, double, SimTime) override {}
+};
+
+/// The directories a rebuild from scratch gives the engine's current
+/// groups: fresh directories, then every live cache's resident documents
+/// registered in cache-index order.
+std::vector<cache::GroupDirectory> rebuilt_directories(
+    const ShardableEngine& engine) {
+  std::vector<cache::GroupDirectory> dirs;
+  for (const auto& g : engine.groups()) {
+    dirs.emplace_back(g, engine.config().beacons_per_group);
+  }
+  for (std::size_t c = 0; c < engine.cache_count(); ++c) {
+    const auto holder = static_cast<cache::CacheIndex>(c);
+    if (engine.is_down(holder)) continue;
+    auto& dir = dirs[engine.group_index_of(holder)];
+    for (cache::DocId d : engine.edge_cache(holder).resident_docs()) {
+      dir.add_holder(d, holder);
+    }
+  }
+  return dirs;
+}
+
+::testing::AssertionResult same_directory(const cache::GroupDirectory& got,
+                                          const cache::GroupDirectory& want,
+                                          std::size_t docs) {
+  if (got.members() != want.members()) {
+    return ::testing::AssertionFailure() << "members differ";
+  }
+  if (got.beacon_count() != want.beacon_count()) {
+    return ::testing::AssertionFailure()
+           << "beacon_count " << got.beacon_count() << " vs "
+           << want.beacon_count();
+  }
+  if (got.registration_count() != want.registration_count()) {
+    return ::testing::AssertionFailure()
+           << "registration_count " << got.registration_count() << " vs "
+           << want.registration_count();
+  }
+  for (cache::DocId d = 0; d < docs; ++d) {
+    if (got.holders(d) != want.holders(d)) {
+      return ::testing::AssertionFailure() << "holders of doc " << d
+                                           << " differ";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult directories_match_rebuild(
+    const ShardableEngine& engine, std::size_t docs) {
+  const auto want = rebuilt_directories(engine);
+  for (std::size_t c = 0; c < engine.cache_count(); ++c) {
+    const auto i = static_cast<cache::CacheIndex>(c);
+    auto result = same_directory(
+        engine.directory_of(i), want[engine.group_index_of(i)], docs);
+    if (!result) return result << " (directory of cache " << c << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The next partition: the engine's groups minus departed caches (groups
+/// that empty are dropped, so later indices shift), rejoined caches placed
+/// in a random group, then one seeded reshaping — a single-cache move, a
+/// merge (fewer groups), a split (more groups), a renumbering with member
+/// orders shuffled (new beacons), or a fresh random partition.
+std::vector<std::vector<cache::CacheIndex>> next_partition(
+    const ShardableEngine& engine, std::size_t step, util::Rng& rng) {
+  std::vector<std::vector<cache::CacheIndex>> groups;
+  std::vector<bool> placed(engine.cache_count(), false);
+  for (const auto& g : engine.groups()) {
+    std::vector<cache::CacheIndex> kept;
+    for (cache::CacheIndex c : g) {
+      if (engine.is_departed(c) || placed[c]) continue;
+      placed[c] = true;
+      kept.push_back(c);
+    }
+    if (!kept.empty()) groups.push_back(std::move(kept));
+  }
+  std::vector<cache::CacheIndex> unplaced;
+  for (std::size_t c = 0; c < engine.cache_count(); ++c) {
+    const auto i = static_cast<cache::CacheIndex>(c);
+    if (!placed[c] && !engine.is_departed(i)) unplaced.push_back(i);
+  }
+  if (groups.empty()) {
+    groups.push_back(std::move(unplaced));
+    return groups;
+  }
+  for (cache::CacheIndex c : unplaced) {
+    groups[rng.index(groups.size())].push_back(c);
+  }
+
+  switch (step % 5) {
+    case 0: {  // one cache changes group; its group may empty
+      const std::size_t from = rng.index(groups.size());
+      const std::size_t to = rng.index(groups.size());
+      if (from == to) break;
+      auto& src = groups[from];
+      const std::size_t k = rng.index(src.size());
+      groups[to].push_back(src[k]);
+      src.erase(src.begin() + static_cast<std::ptrdiff_t>(k));
+      if (src.empty()) {
+        groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(from));
+      }
+      break;
+    }
+    case 1: {  // merge: one group folds into another, later indices shift
+      if (groups.size() < 2) break;
+      const std::size_t from = rng.index(groups.size());
+      std::size_t to = rng.index(groups.size() - 1);
+      if (to >= from) ++to;
+      groups[to].insert(groups[to].end(), groups[from].begin(),
+                        groups[from].end());
+      groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(from));
+      break;
+    }
+    case 2: {  // split: half a group becomes a new group at a random index
+      const std::size_t g = rng.index(groups.size());
+      if (groups[g].size() < 2) break;
+      const auto half = static_cast<std::ptrdiff_t>(groups[g].size() / 2);
+      std::vector<cache::CacheIndex> split(groups[g].begin() + half,
+                                           groups[g].end());
+      groups[g].resize(static_cast<std::size_t>(half));
+      const std::size_t at = rng.index(groups.size() + 1);
+      groups.insert(groups.begin() + static_cast<std::ptrdiff_t>(at),
+                    std::move(split));
+      break;
+    }
+    case 3:  // renumber every group and reorder its members
+      rng.shuffle(groups);
+      for (auto& g : groups) rng.shuffle(g);
+      break;
+    default: {  // a fresh random partition
+      std::vector<cache::CacheIndex> all;
+      for (const auto& g : groups) all.insert(all.end(), g.begin(), g.end());
+      rng.shuffle(all);
+      const std::size_t k = 1 + rng.index(std::min<std::size_t>(all.size(), 9));
+      groups.assign(k, {});
+      for (std::size_t j = 0; j < all.size(); ++j) {
+        groups[j % k].push_back(all[j]);
+      }
+      break;
+    }
+  }
+  return groups;
+}
+
+struct RegroupWorld {
+  bool integer_rtt = false;  ///< RTTs in {1..4} ms: holder ties everywhere
+  ConsistencyMode consistency = ConsistencyMode::kPushInvalidation;
+  std::size_t beacons = 3;
+  std::uint64_t seed = 0;
+};
+
+/// Drives one engine through seeded requests, updates, failures, leaves
+/// and rejoins, regrouping after every step and comparing each directory
+/// with a rebuild from scratch. Returns the registrations that moved.
+std::size_t churn_and_compare(const RegroupWorld& world) {
+  constexpr std::size_t kCaches = 48;
+  constexpr std::size_t kDocs = 80;
+  constexpr std::size_t kSteps = 60;
+  util::Rng rng(world.seed);
+  net::DistanceMatrix m(kCaches + 1);
+  for (std::size_t a = 0; a <= kCaches; ++a) {
+    for (std::size_t b = a + 1; b <= kCaches; ++b) {
+      m.set(a, b,
+            world.integer_rtt ? static_cast<double>(rng.uniform_int(1, 4))
+                              : rng.uniform(1.0, 100.0));
+    }
+  }
+  const net::MatrixRttProvider provider(std::move(m));
+  const auto catalog = tiny_catalog(kDocs);
+
+  SimulationConfig config = tiny_config({});
+  config.groups.resize(6);
+  for (std::uint32_t c = 0; c < kCaches; ++c) config.groups[c % 6].push_back(c);
+  config.cache_capacity_bytes = 10'000;  // ten documents per cache
+  config.consistency = world.consistency;
+  config.ttl_ms = 400.0;
+  config.beacons_per_group = world.beacons;
+  ShardableEngine engine(catalog, provider, kCaches, config);
+
+  DiscardSink sink;
+  SimTime now = 0.0;
+  std::uint64_t index = 0;
+  std::size_t moved = 0;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    for (int r = 0; r < 120; ++r) {
+      now += 1.0;
+      const workload::Request request{
+          now, static_cast<std::uint32_t>(rng.index(kCaches)),
+          static_cast<cache::DocId>(
+              std::min(rng.index(kDocs), rng.index(kDocs)))};
+      engine.on_complete(engine.on_request(index++, request, now, sink), sink);
+    }
+    if (rng.bernoulli(0.5)) {
+      engine.on_update({now, static_cast<cache::DocId>(rng.index(kDocs))},
+                       sink);
+    }
+    const auto c = static_cast<cache::CacheIndex>(rng.index(kCaches));
+    if (step % 7 == 3) engine.on_failure(c, now, sink);
+    if (step % 3 == 1) engine.on_leave(c, now, sink);
+    if (step % 3 == 2) {
+      for (std::size_t j = 0; j < kCaches; ++j) {
+        const auto back = static_cast<cache::CacheIndex>(j);
+        if (engine.is_departed(back) && rng.bernoulli(0.5)) {
+          engine.on_join(back, now, sink, nullptr);
+        }
+      }
+    }
+
+    std::vector<std::size_t> before(kCaches);
+    for (std::size_t j = 0; j < kCaches; ++j) {
+      before[j] = engine.group_index_of(static_cast<cache::CacheIndex>(j));
+    }
+    engine.apply_groups(next_partition(engine, step, rng));
+    for (std::size_t j = 0; j < kCaches; ++j) {
+      const auto i = static_cast<cache::CacheIndex>(j);
+      if (!engine.is_down(i) && engine.group_index_of(i) != before[j]) {
+        moved += engine.edge_cache(i).resident_count();
+      }
+    }
+    EXPECT_TRUE(directories_match_rebuild(engine, kDocs)) << "step " << step;
+  }
+  return moved;
+}
+
+TEST(ApplyGroups, EveryDirectoryEqualsARebuildFromScratch) {
+  std::size_t moved = 0;
+  std::uint64_t seed = 1;
+  for (bool integer_rtt : {false, true}) {
+    for (ConsistencyMode mode :
+         {ConsistencyMode::kPushInvalidation, ConsistencyMode::kTtl}) {
+      for (std::size_t beacons : {std::size_t{0}, std::size_t{3}}) {
+        RegroupWorld world;
+        world.integer_rtt = integer_rtt;
+        world.consistency = mode;
+        world.beacons = beacons;
+        world.seed = seed++;
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << world.seed << " integer_rtt "
+                     << integer_rtt << " ttl "
+                     << (mode == ConsistencyMode::kTtl) << " beacons "
+                     << beacons);
+        moved += churn_and_compare(world);
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);  // registrations really moved between directories
+}
+
+TEST(ApplyGroups, RejectedPartitionLeavesEveryDirectoryAsItWas) {
+  constexpr std::size_t kCaches = 12;
+  constexpr std::size_t kDocs = 20;
+  util::Rng rng(3);
+  net::DistanceMatrix m(kCaches + 1);
+  for (std::size_t a = 0; a <= kCaches; ++a) {
+    for (std::size_t b = a + 1; b <= kCaches; ++b) {
+      m.set(a, b, static_cast<double>(rng.uniform_int(1, 4)));
+    }
+  }
+  const net::MatrixRttProvider provider(std::move(m));
+  const auto catalog = tiny_catalog(kDocs);
+  SimulationConfig config = tiny_config(
+      {{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}});
+  config.cache_capacity_bytes = 8'000;
+  ShardableEngine engine(catalog, provider, kCaches, config);
+  DiscardSink sink;
+  for (std::uint64_t r = 0; r < 400; ++r) {
+    const double now = static_cast<double>(r);
+    const workload::Request request{
+        now, static_cast<std::uint32_t>(rng.index(kCaches)),
+        static_cast<cache::DocId>(rng.index(kDocs))};
+    engine.on_complete(engine.on_request(r, request, now, sink), sink);
+  }
+  engine.on_leave(11, 400.0, sink);
+
+  const auto groups = engine.groups();
+  std::vector<cache::GroupDirectory> before;
+  std::vector<std::size_t> group_of;
+  for (cache::CacheIndex c = 0; c < kCaches; ++c) {
+    before.push_back(engine.directory_of(c));
+    group_of.push_back(engine.group_index_of(c));
+  }
+  const std::vector<std::vector<std::vector<cache::CacheIndex>>> rejected = {
+      {{0, 1}},                                               // misses caches
+      {{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}, {10}},           // duplicate
+      {{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}},             // departed 11
+      {{0, 1, 2, 3, 4, 5}, {}, {6, 7, 8, 9, 10}},             // empty group
+      {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}},               // out of range
+      {},
+  };
+  for (const auto& partition : rejected) {
+    EXPECT_THROW(engine.apply_groups(partition), util::ContractViolation);
+    EXPECT_EQ(engine.groups(), groups);
+    for (cache::CacheIndex c = 0; c < kCaches; ++c) {
+      EXPECT_EQ(engine.group_index_of(c), group_of[c]);
+      EXPECT_TRUE(same_directory(engine.directory_of(c), before[c], kDocs))
+          << "cache " << c;
+    }
+  }
+  EXPECT_GT(before[0].registration_count(), 0u);
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include "net/drift.h"
 #include "schemes/registry.h"
 #include "sim/netmodel/link_model.h"
+#include "sim/simulator.h"
 
 using namespace ecgf;
 

@@ -9,6 +9,7 @@
 // with none available it degenerates to SL (parity), while on transit-stub
 // topologies (high CV — like the real Internet) it wins Figs. 8/9.
 #include "bench_common.h"
+#include "sim/simulator.h"
 #include "topology/attachment.h"
 #include "util/stats.h"
 #include "topology/barabasi_albert.h"

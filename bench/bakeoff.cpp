@@ -24,6 +24,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -39,6 +40,16 @@
 
 namespace ecgf {
 namespace {
+
+/// FNV-1a of a registry name: keys a scheme's RNG on the scheme itself.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ull;
@@ -269,8 +280,12 @@ int main(int argc, char** argv) {
               << trace.requests.size() << " requests, " << c.churn_pairs
               << " churn pairs)\n";
 
-    for (std::size_t s = 0; s < scheme_names.size(); ++s) {
-      const std::string& name = scheme_names[s];
+    // Every scheme at this N faces the same probe-jitter stream, keyed on
+    // N alone; the scheme RNG is keyed on N and the registry name (as
+    // GfCoordinator::run forks it separately). A row therefore never
+    // depends on which other schemes ran.
+    const std::uint64_t case_seed = 0xBA0Full ^ (c.n * 1'000'003ull);
+    for (const std::string& name : scheme_names) {
       const std::unique_ptr<core::GroupingScheme> scheme =
           registry.make(name, scheme_config);
 
@@ -280,12 +295,8 @@ int main(int argc, char** argv) {
       e.provider = provider;
       e.scheme = name;
 
-      // Same seeds per scheme slot so every scheme faces the same probe
-      // jitter stream; the scheme rng is forked separately (as in
-      // GfCoordinator::run).
-      util::Rng base(0xBA0Full ^ (c.n * 1'000'003ull) ^ s);
-      net::Prober prober(*rtt, probing, base.fork(1));
-      util::Rng scheme_rng = base.fork(7919);
+      net::Prober prober(*rtt, probing, util::Rng(case_seed).fork(1));
+      util::Rng scheme_rng = util::Rng(case_seed ^ fnv1a(name)).fork(7919);
       const auto t0 = std::chrono::steady_clock::now();
       const core::GroupingResult grouping = scheme->form_groups(
           c.n, static_cast<net::HostId>(c.n), k, prober, scheme_rng);
@@ -394,7 +405,9 @@ int main(int argc, char** argv) {
 
   std::ofstream out(json_out);
   out << "{\n  \"schema\": \"ecgf-bench-bakeoff/1\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"schemes\": [";
+      << (smoke ? "smoke" : "full") << "\",\n  \"host_cores\": "
+      << std::max(1u, std::thread::hardware_concurrency())
+      << ",\n  \"schemes\": [";
   for (std::size_t i = 0; i < scheme_names.size(); ++i) {
     out << (i > 0 ? ", " : "") << '"' << json_escape(scheme_names[i]) << '"';
   }

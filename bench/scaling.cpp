@@ -1,6 +1,8 @@
 // Scaling sweep for the sharded conservative-PDES driver (src/shard):
 // N ∈ {256, 4k, 32k, 100k} caches × shards ∈ {1, 4, 16}, against the
-// sequential sim::Simulator baseline at each N.
+// sequential sim::Simulator baseline at each N. That baseline is the same
+// driver loop with one shard and one thread, so the 1-shard speedup reads
+// about 1.0 by construction.
 //
 // Memory policy per network size (the point of the sweep):
 //   * N = 256  — exact double packed matrix from the GT-ITM topology

@@ -410,7 +410,7 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
   if c++ -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" \
        >/dev/null 2>&1 && "$asan_probe/probe"; then
-    echo "== AddressSanitizer shard (sim_test, shard_test, ctl_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
+    echo "== AddressSanitizer shard (sim_test, shard_test, ctl_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test) =="
     asan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-asan/CMakeCache.txt ]]; then
       asan_generator=(-G Ninja)
@@ -420,7 +420,7 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
     # ctl_test drives apply_groups through the maintenance session.
     cmake --build build-asan -j"$(nproc)" --target sim_test shard_test \
       ctl_test schemes_test net_test cache_test netmodel_test workload_test \
-      live_test perf_kernels_test
+      live_test perf_kernels_test differential_test
     # gtest_discover_tests registers per-case names (not binary names), so
     # run everything discovered in this tree except the <target>_NOT_BUILT
     # placeholders of the test binaries we deliberately didn't build.
@@ -445,7 +445,7 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$tsan_probe/probe.cpp"
   if c++ -fsanitize=thread "$tsan_probe/probe.cpp" -o "$tsan_probe/probe" \
        >/dev/null 2>&1 && "$tsan_probe/probe"; then
-    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test, perf_kernels_test) =="
+    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test) =="
     tsan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-tsan/CMakeCache.txt ]]; then
       tsan_generator=(-G Ninja)
@@ -454,7 +454,7 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build build-tsan -j"$(nproc)" --target threading_test obs_test \
       ctl_test shard_test schemes_test netmodel_test workload_test live_test \
-      perf_kernels_test
+      perf_kernels_test differential_test
     ECGF_THREADS=8 ./build-tsan/tests/threading_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/obs_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/ctl_test || fail=1
@@ -467,6 +467,8 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
     ECGF_THREADS=8 ./build-tsan/tests/live_test || fail=1
     # K-means restarts run on pool workers, each with its own bound buffer.
     ECGF_THREADS=8 ./build-tsan/tests/perf_kernels_test || fail=1
+    # Every driver on random worlds, sharded runs on up to 8 pool threads.
+    ECGF_THREADS=8 ./build-tsan/tests/differential_test || fail=1
   else
     echo "== ThreadSanitizer unsupported by this toolchain; skipping =="
   fi

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "obs/profile.h"
+#include "sim/simulator.h"
 #include "util/expect.h"
 
 namespace ecgf::core {

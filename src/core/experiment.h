@@ -11,7 +11,7 @@
 #include "core/coordinator.h"
 #include "core/network_builder.h"
 #include "core/scheme.h"
-#include "sim/simulator.h"
+#include "sim/config.h"
 #include "workload/generator.h"
 
 namespace ecgf::core {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/profile.h"
-#include "sim/simulator.h"
 #include "util/expect.h"
 
 namespace ecgf::ctl {

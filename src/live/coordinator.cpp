@@ -96,15 +96,24 @@ void Coordinator::accept_members(LiveRunResult& result) {
   }
 }
 
+template <typename Call>
+bool Coordinator::member_call(std::size_t m, Call&& call) {
+  try {
+    call();
+    return true;
+  } catch (const SockError&) {
+  } catch (const WireError&) {
+  } catch (const LiveError&) {
+  }
+  mark_dead(m);
+  return false;
+}
+
 void Coordinator::broadcast(MsgType type,
                             const std::vector<std::uint8_t>& payload) {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (!members_[i].alive) continue;
-    try {
-      members_[i].sock.send_frame(type, payload);
-    } catch (const SockError&) {
-      mark_dead(i);
-    }
+    member_call(i, [&] { members_[i].sock.send_frame(type, payload); });
   }
 }
 
@@ -207,16 +216,12 @@ void Coordinator::run_windows(const shard::Cut& cut, LiveRunResult& result) {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     Member& m = members_[i];
     if (!m.alive || !cut.covers(m.earliest)) continue;
-    try {
-      m.sock.send_frame(MsgType::kWindow, w.bytes());
-      dispatched.push_back(i);
-    } catch (const SockError&) {
-      mark_dead(i);
-    }
+    const auto send = [&] { m.sock.send_frame(MsgType::kWindow, w.bytes()); };
+    if (member_call(i, send)) dispatched.push_back(i);
   }
   for (std::size_t i : dispatched) {
     if (!members_[i].alive) continue;
-    try {
+    member_call(i, [&] {
       Frame f = expect_from(i, MsgType::kEffects);
       EffectsBatch batch = decode_effects(f.payload);
       events_executed_ += batch.executed;
@@ -226,13 +231,7 @@ void Coordinator::run_windows(const shard::Cut& cut, LiveRunResult& result) {
         sinks_[i].restore(e);
       }
       ++result.windows;
-    } catch (const SockError&) {
-      mark_dead(i);
-    } catch (const WireError&) {
-      mark_dead(i);
-    } catch (const LiveError&) {
-      mark_dead(i);
-    }
+    });
   }
 }
 
@@ -252,18 +251,12 @@ void Coordinator::execute_barrier(const shard::Barrier& b,
   std::uint64_t delta_sum = 0;
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (!members_[i].alive) continue;
-    try {
+    member_call(i, [&] {
       Frame f = expect_from(i, MsgType::kBarrierAck);
       const BarrierAck ack = decode_barrier_ack(f.payload);
       holders_sum += ack.holders_dropped;
       delta_sum += ack.invalidations_delta;
-    } catch (const SockError&) {
-      mark_dead(i);
-    } catch (const WireError&) {
-      mark_dead(i);
-    } catch (const LiveError&) {
-      mark_dead(i);
-    }
+    });
   }
 
   // Apply on the local replica. Failure / membership events emit their
@@ -326,15 +319,7 @@ void Coordinator::depart_dead_members(double t, LiveRunResult& result) {
       broadcast(MsgType::kBarrier, payload);
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (!members_[i].alive) continue;
-        try {
-          expect_from(i, MsgType::kBarrierAck);
-        } catch (const SockError&) {
-          mark_dead(i);
-        } catch (const WireError&) {
-          mark_dead(i);
-        } catch (const LiveError&) {
-          mark_dead(i);
-        }
+        member_call(i, [&] { expect_from(i, MsgType::kBarrierAck); });
       }
       if (engine_->on_leave(c, t, *coord_sink_)) {
         ++result.synthetic_leaves;
@@ -459,25 +444,13 @@ LiveRunResult Coordinator::run() {
   bool flush_complete = true;
   broadcast(MsgType::kFlush, {});
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (!members_[i].alive) {
-      flush_complete = false;
-      continue;
-    }
-    try {
+    const bool flushed = members_[i].alive && member_call(i, [&] {
       Frame f = expect_from(i, MsgType::kFlushAck);
       const FlushAck ack = decode_flush_ack(f.payload);
       tally += ack.tally;
       flushed_invalidations += ack.invalidations;
-    } catch (const SockError&) {
-      mark_dead(i);
-      flush_complete = false;
-    } catch (const WireError&) {
-      mark_dead(i);
-      flush_complete = false;
-    } catch (const LiveError&) {
-      mark_dead(i);
-      flush_complete = false;
-    }
+    });
+    if (!flushed) flush_complete = false;
   }
   // Cross-check on healthy runs: per-barrier deltas must re-sum to the
   // members' engine totals (the coordinator's own replica pushed none —

@@ -118,6 +118,11 @@ class Coordinator {
   };
 
   void accept_members(LiveRunResult& result);
+  /// Run `call`, a step of the protocol with member `m`. A SockError,
+  /// WireError or LiveError marks the member dead instead of escaping;
+  /// returns whether the call completed.
+  template <typename Call>
+  bool member_call(std::size_t m, Call&& call);
   /// Send to every alive member; a send failure marks the member dead.
   void broadcast(MsgType type, const std::vector<std::uint8_t>& payload);
   /// Receive one frame from member `m`, requiring type `want`. Maps a

@@ -18,9 +18,9 @@
 //
 // Time source: the provider is built unbound (w = 0, pure base matrix, so
 // formation at t = 0 is unaffected), then bind_clock() points it at the
-// simulator's clock (sim::Simulator::clock_ptr()). Reads are pure lookups
-// + one blend — no RNG, no state — so determinism and thread-safety match
-// MatrixRttProvider's.
+// driver's clock (shard::ShardedSimulator::clock_ptr()). Reads are pure
+// lookups + one blend — no RNG, no state — so determinism and
+// thread-safety match MatrixRttProvider's.
 #pragma once
 
 #include <vector>

@@ -24,7 +24,7 @@
 
 #include "cache/directory.h"
 #include "sim/metrics.h"
-#include "sim/simulator.h"
+#include "sim/config.h"
 
 namespace ecgf::obs {
 
@@ -42,7 +42,7 @@ void write_metrics_jsonl(std::ostream& os, const sim::MetricsCollector& metrics,
 /// CSV of per-cache results: header
 /// `cache,mean_latency_ms,local_hits,group_hits,origin_fetches` then one
 /// row per cache. Requires report.per_cache_counts (filled by
-/// Simulator::run); latencies come from report.per_cache_latency_ms.
+/// a driver's run); latencies come from report.per_cache_latency_ms.
 void write_cache_csv(std::ostream& os, const sim::SimulationReport& report);
 
 /// CSV of per-group summaries: header

@@ -12,9 +12,8 @@
 // Because each simulation event executes on exactly one shard, the keys
 // are globally unique, and because every shard executes its own events in
 // canonical order, each buffer is already sorted. The merged replay is
-// therefore exactly the order the sequential Simulator would have applied
-// the same effects in — which is the mechanism behind the bit-identical
-// guarantee (docs/scaling.md).
+// therefore the canonical event order at any shard count — which is the
+// mechanism behind the bit-identical guarantee (docs/scaling.md).
 #pragma once
 
 #include <cstdint>
@@ -74,7 +73,7 @@ struct BufferedEffect {
 /// under which the coordinator's TraceContext::emit would discard them),
 /// and set_rtt_buffering(false) drops RTT observations (no control hook
 /// registered). Filtering never changes output bytes — it skips only
-/// effects the sequential driver would also have discarded — but it keeps
+/// effects the replay would also have discarded — but it keeps
 /// benchmark-mode effect volume proportional to what is actually
 /// consumed.
 class ShardSink final : public sim::EffectSink {

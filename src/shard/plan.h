@@ -43,6 +43,10 @@ class ShardPlan {
   /// shards than groups, or every group it held dissolved at a
   /// reformation); it then simply executes empty windows.
   const std::vector<std::size_t>& loads() const { return loads_; }
+  /// True when every cache lives on the same shard under both plans.
+  bool same_cache_shards(const ShardPlan& other) const {
+    return cache_to_shard_ == other.cache_to_shard_;
+  }
 
  private:
   std::size_t shard_count_;

@@ -14,8 +14,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Periodic barriers at interval, 2·interval, … up to the horizon.
-/// Iterative accumulation, not k·interval: reproduces the sequential
-/// driver's event-chain float arithmetic exactly.
+/// Iterative accumulation, not k·interval: reproduces the event-chain
+/// float arithmetic of a self-rescheduling tick exactly.
 void add_periodic(std::vector<Barrier>& out, sim::EventClass klass,
                   double interval_ms, double duration_ms, double horizon_ms) {
   if (!(interval_ms > 0.0)) return;

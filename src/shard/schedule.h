@@ -10,8 +10,7 @@
 //   * Barriers: every event that couples shards — failures, membership
 //     churn, origin updates, control ticks (only with a control hook),
 //     summary refreshes (only under DirectoryMode::kSummary) — sorted once
-//     in canonical (time, EventClass, key) order, the exact order the
-//     sequential driver's keyed queue pops them in.
+//     in canonical (time, EventClass, key) order (sim::EventClass).
 //   * Cut rule: the next barrier when it falls within one epoch of the
 //     earliest pending event, else that epoch target, else the inclusive
 //     final drain at the horizon.

@@ -1,6 +1,7 @@
 #include "shard/sharded_sim.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/profile.h"
 #include "util/expect.h"
@@ -33,7 +34,7 @@ ShardedSimulator::ShardedSimulator(const cache::Catalog& catalog,
   // buffering time: trace events when no trace sink is attached (the
   // coordinator's TraceContext::emit would discard them unstamped), RTT
   // observations when no control hook consumes them. Output bytes are
-  // unaffected — the sequential driver discards the same effects — but
+  // unaffected — the replay would discard the same effects — but
   // benchmark-mode exchange volume shrinks to what is actually consumed.
   for (ShardSink& sink : sinks_) {
     sink.set_trace_buffering(trace_.tracer() != nullptr);
@@ -52,8 +53,14 @@ void ShardedSimulator::apply_groups(
 void ShardedSimulator::reshard(workload::WorkloadSource& source,
                                double from_ms) {
   ECGF_PROF_SCOPE("shard.reshard");
-  plan_ = ShardPlan(engine_.groups(), engine_.cache_count(), options_.shards);
+  ShardPlan plan(engine_.groups(), engine_.cache_count(), options_.shards);
+  // When every cache keeps its shard (always, with one shard), the lanes
+  // already hold exactly the streams and completions a re-partition would
+  // hand them, so only the width restarts.
+  const bool keep_lanes = !lanes_.empty() && plan.same_cache_shards(plan_);
+  plan_ = std::move(plan);
   schedule_->reset_width(plan_, engine_);
+  if (keep_lanes) return;
 
   // In-flight completions survive a reshard: collect and re-home them by
   // their cache's new shard (the engine already re-registered resident
@@ -172,6 +179,7 @@ sim::SimulationReport ShardedSimulator::run(workload::WorkloadSource& source) {
 
   if (hook_ != nullptr) hook_->on_start(*this);
   reshard_pending_ = false;
+  lanes_.clear();
   reshard(source, 0.0);
 
   now_ms_ = 0.0;

@@ -1,10 +1,10 @@
-// ShardedSimulator — the conservative-PDES driver over sim::ShardableEngine.
+// ShardedSimulator — the one driver loop over sim::ShardableEngine.
 //
-// Scales the discrete-event simulation to 100k-cache networks by running
-// the per-group hot path (request arrivals and completions) on worker
-// shards in parallel, while reproducing the sequential sim::Simulator's
-// output BIT FOR BIT at any shard count: same SimulationReport, same
-// metrics, same trace bytes.
+// Runs the discrete-event simulation as conservative PDES over group-aligned
+// shards. The sequential driver (sim::Simulator) is its one-shard,
+// one-thread case, so every shard count produces the same SimulationReport,
+// metrics and trace bytes; the shard count only decides how much of the
+// hot path runs in parallel, up to 100k-cache networks.
 //
 // Execution model (docs/scaling.md has the full derivation):
 //
@@ -27,8 +27,8 @@
 //   * Order-sensitive side effects (metrics samples, trace events, RTT
 //     observations) are buffered per shard and replayed at each cut as a
 //     deterministic k-way merge in canonical event order
-//     (shard::merge_and_replay) — the sequential application order. A cut
-//     with zero buffered effects skips the merge.
+//     (shard::merge_and_replay). A cut with zero buffered effects skips
+//     the merge.
 //
 // Correctness never depends on the epoch width: group-aligned sharding
 // routes all cross-shard influence through barriers, so any width — the
@@ -60,8 +60,8 @@
 namespace ecgf::shard {
 
 struct ShardOptions {
-  /// Worker shards. 1 degenerates to a (slightly buffered) sequential run
-  /// — still bit-identical to sim::Simulator.
+  /// Worker shards. 1 is the sequential driver (sim::Simulator): one lane,
+  /// with barriers between its windows.
   std::size_t shards = 1;
   /// Explicit, FIXED epoch length; 0 = derive the initial width from the
   /// minimum cross-shard RTT and adapt from there (shard::EpochSchedule).
@@ -72,10 +72,9 @@ struct ShardOptions {
   std::size_t threads = 0;
 };
 
-/// The sharded driver. Construct, then run(trace) or run(source) — same
-/// contract as sim::Simulator::run. Implements sim::GroupHost so ctl's
-/// MaintenanceSession drives it unchanged.
-class ShardedSimulator final : public sim::GroupHost {
+/// The driver. Construct, then run(trace) or run(source). Implements
+/// sim::GroupHost so ctl's MaintenanceSession drives it unchanged.
+class ShardedSimulator : public sim::GroupHost {
  public:
   ShardedSimulator(const cache::Catalog& catalog, const net::RttProvider& rtt,
                    net::HostId server, sim::SimulationConfig config,
@@ -109,6 +108,7 @@ class ShardedSimulator final : public sim::GroupHost {
 
   // Introspection (tests, benches).
   const sim::ShardableEngine& engine() const { return engine_; }
+  const sim::MetricsCollector& metrics() const { return metrics_; }
   std::size_t shard_count() const { return options_.shards; }
   /// Worker threads actually backing the shard loops (the resolved value
   /// of ShardOptions::threads; 1 = serial execution on the coordinator).
@@ -132,16 +132,16 @@ class ShardedSimulator final : public sim::GroupHost {
   std::uint64_t merges_skipped() const { return merges_skipped_; }
   /// Coordinator clock (ms): simulation time of the last cut; 0 before
   /// run(). Bind time-varying collaborators (net::DriftingRttProvider)
-  /// here, exactly like sim::Simulator::clock_ptr() — barrier-side reads
-  /// then see barrier time, while the shard hot path always uses the
-  /// explicit-time rtt_ms_at() and never touches this clock.
+  /// here — barrier-side reads then see barrier time, while the shard hot
+  /// path always uses the explicit-time rtt_ms_at() and never touches this
+  /// clock.
   const double* clock_ptr() const { return &now_ms_; }
 
  private:
   /// (Re)distribute the workload across shards for the current partition:
-  /// new ShardPlan, per-shard streams from source.partition() at/after
-  /// `from_ms`, pending completions re-homed by cache, lookahead
-  /// re-derived.
+  /// new ShardPlan and lookahead; then, unless every cache kept its shard,
+  /// per-shard streams from source.partition() at/after `from_ms` and
+  /// pending completions re-homed by cache.
   void reshard(workload::WorkloadSource& source, double from_ms);
 
   /// Run the window of every shard with pending work up to `cut` in
@@ -182,7 +182,7 @@ class ShardedSimulator final : public sim::GroupHost {
   std::uint64_t requests_executed_ = 0;
 };
 
-/// Convenience wrapper mirroring sim::run_simulation.
+/// Convenience wrapper: build a driver, run the trace, return the report.
 sim::SimulationReport run_sharded_simulation(const cache::Catalog& catalog,
                                              const net::RttProvider& rtt,
                                              net::HostId server,

@@ -1,7 +1,7 @@
-// Simulation configuration and report types, shared by the sequential
-// driver (sim::Simulator) and the sharded driver (shard::ShardedSimulator).
-// Split out of simulator.h so the engine core (sim/engine.h) can consume
-// them without pulling in a driver.
+// Simulation configuration and report types, shared by the engine
+// (sim/engine.h), its drivers (shard::ShardedSimulator, whose one-shard
+// case is sim::Simulator) and the message-level engine, without pulling
+// in a driver.
 #pragma once
 
 #include <cstdint>

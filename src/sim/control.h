@@ -10,9 +10,9 @@
 // tests stub it.
 //
 // GroupHost is the narrow view of a simulation the control plane needs:
-// both the sequential sim::Simulator and the sharded
-// shard::ShardedSimulator implement it, so one MaintenanceSession drives
-// either engine unchanged.
+// shard::ShardedSimulator (and so its one-shard case, sim::Simulator)
+// implements it, so one MaintenanceSession drives any shard count
+// unchanged.
 //
 // Determinism: every callback fires from the event-queue thread at a
 // deterministic point in the event order, and the hook must not introduce

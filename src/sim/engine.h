@@ -1,12 +1,13 @@
-// The re-entrant core of the cooperative-cache simulation, factored out of
-// sim::Simulator so two drivers can share it:
+// The re-entrant core of the cooperative-cache simulation, shared by the
+// driver loops:
 //
-//   * sim::Simulator — the sequential driver: one event queue, effects
-//     applied immediately (DirectSink).
 //   * shard::ShardedSimulator — the conservative-PDES driver: caches are
 //     partitioned across worker shards by formed group, each shard runs its
 //     own event loop over a window, and effects are buffered and replayed
-//     in canonical order at epoch barriers.
+//     in canonical order at epoch barriers. Its one-shard case is the
+//     sequential driver, sim::Simulator.
+//   * live::Coordinator — the same schedule with each shard's windows in a
+//     member process.
 //
 // The split is along the event-class boundary (sim::EventClass):
 //
@@ -26,10 +27,10 @@
 // Side effects that feed order-sensitive consumers (the metrics
 // collector's float accumulators and latency reservoir, the trace stream's
 // sequence stamps, the control hook's RTT samples) never happen directly:
-// the engine routes them through an EffectSink. The sequential driver's
-// sink forwards immediately; the sharded driver's sink buffers per shard
-// and the coordinator replays the k-way merge in canonical event order —
-// which is how a sharded run reproduces the sequential run bit for bit.
+// the engine routes them through an EffectSink. A shard's sink buffers
+// them and the coordinator replays the k-way merge in canonical event
+// order, while barrier events feed the coordinator's sink directly —
+// which is how a run produces the same bytes at any shard count.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,7 @@ struct EngineTally {
 };
 
 /// Where the engine sends order-sensitive side effects. One sink per
-/// execution lane: the sequential driver has one, the sharded driver one
-/// per shard.
+/// execution lane: one per shard, plus the coordinator's for barriers.
 class EffectSink {
  public:
   virtual ~EffectSink() = default;
@@ -195,7 +195,7 @@ class ShardableEngine {
   /// Invalidations pushed by on_update() so far. The live coordinator
   /// reads the delta around each update barrier from every member replica
   /// (each counts only its own groups' holders) and sums them into the
-  /// sequential run's global figure.
+  /// run's global figure.
   std::uint64_t invalidations_pushed() const { return invalidations_pushed_; }
 
   /// Assemble the final report from the driver's metrics plus the engine's

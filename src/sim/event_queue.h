@@ -15,9 +15,12 @@ using SimTime = double;  ///< milliseconds since simulation start
 
 /// Canonical ordering classes for simulation events. Two events due at the
 /// same instant execute in ascending (klass, key) order; the classes below
-/// define the engine-wide total order that the sequential Simulator and the
-/// sharded engine (src/shard) both follow, which is what makes a sharded
-/// run bit-identical to a sequential one (docs/scaling.md).
+/// define the engine-wide total order. shard::EpochSchedule sorts its
+/// barriers by it and shard::ShardLane breaks completion/arrival ties by
+/// it, which is what makes a run bit-identical at any shard count
+/// (docs/scaling.md). The queue below follows it for its remaining users:
+/// the frozen reference loop the driver tests compare against, and the
+/// message-level engine.
 ///
 /// kDefault sorts after every canonical class and falls back to insertion
 /// order, preserving the historical (time, seq) FIFO contract for callers

@@ -1,5 +1,5 @@
 // Message-level protocol engine — the high-fidelity alternative to the
-// analytic latency composition in Simulator.
+// analytic latency composition in sim::ShardableEngine.
 //
 // Every protocol step is its own discrete event:
 //   client request → [queue] cache i → LOOKUP → [queue] beacon →
@@ -20,8 +20,10 @@
 #include <memory>
 #include <vector>
 
+#include "sim/config.h"
+#include "sim/engine.h"
 #include "sim/netmodel/link_model.h"
-#include "sim/simulator.h"
+#include "workload/stream.h"
 
 namespace ecgf::sim {
 

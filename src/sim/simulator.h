@@ -1,5 +1,4 @@
-// Discrete event simulator of the cooperative edge cache network — the
-// SEQUENTIAL driver over sim::ShardableEngine.
+// The SEQUENTIAL driver of the cooperative edge cache simulation.
 //
 // Drives the caches from a request log and the origin server from an
 // update log (paper §5). Requests resolve through the cooperative-miss
@@ -7,129 +6,43 @@
 // push invalidations to every registered holder. Document insertion happens
 // at request *completion* time, so in-flight fetches genuinely interleave.
 //
-// All protocol logic lives in the engine (sim/engine.h); this driver owns
-// the event queue, metrics, trace context and control hook, and applies
-// engine side effects immediately (DirectSink). The sharded driver
-// (shard::ShardedSimulator) runs the same engine under a conservative-PDES
-// loop and reproduces this driver's output bit for bit (docs/scaling.md).
+// There is one event loop: this driver is the one-shard, one-thread case
+// of shard::ShardedSimulator. Every event that touches shared state
+// (updates, failures, churn, control ticks, summary refreshes) runs as a
+// barrier between windows of one shard::ShardLane, and a sharded run at
+// any shard count produces the same bytes (docs/scaling.md). It stays a
+// distinct type so callers can tell the sequential driver from a sharded
+// one.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "cache/catalog.h"
-#include "cache/directory.h"
-#include "cache/edge_cache.h"
-#include "cache/origin.h"
 #include "net/rtt_provider.h"
-#include "obs/trace.h"
+#include "shard/sharded_sim.h"
 #include "sim/config.h"
-#include "sim/control.h"
-#include "sim/engine.h"
-#include "sim/event_queue.h"
-#include "sim/metrics.h"
-#include "workload/stream.h"
 #include "workload/trace.h"
 
 namespace ecgf::sim {
 
-/// The simulator. Construct, then run(trace) or run(source). Reusable
-/// state queries are available after run() for tests (edge_cache(),
-/// directory_of()).
-class Simulator : public GroupHost {
+class Simulator final : public shard::ShardedSimulator {
  public:
   /// `rtt` must cover hosts 0..N (caches + origin); `server` is the origin's
   /// host id (normally N). `groups` in `config` must partition [0, N).
   Simulator(const cache::Catalog& catalog, const net::RttProvider& rtt,
-            net::HostId server, SimulationConfig config);
-
-  /// Drive the engine from lazy workload streams: requests and updates are
-  /// pulled one event ahead, so memory stays O(source state) no matter how
-  /// many requests the run replays (docs/workloads.md). One source backs
-  /// one run.
-  SimulationReport run(workload::WorkloadSource& source);
-
-  /// Materialised-trace convenience: validates, wraps the trace in a
-  /// workload::TraceWorkload view and streams it — bit-identical to the
-  /// pre-stream driver (keys are the trace's request indices).
-  SimulationReport run(const workload::Trace& trace);
-
-  const cache::EdgeCache& edge_cache(cache::CacheIndex i) const {
-    return engine_.edge_cache(i);
-  }
-  const cache::GroupDirectory& directory_of(cache::CacheIndex i) const {
-    return engine_.directory_of(i);
-  }
-  const cache::OriginServer& origin() const { return engine_.origin(); }
-  const MetricsCollector& metrics() const { return *metrics_; }
-
-  bool is_down(cache::CacheIndex i) const { return engine_.is_down(i); }
-  /// True between a leave and the matching join.
-  bool is_departed(cache::CacheIndex i) const override {
-    return engine_.is_departed(i);
-  }
-  std::size_t cache_count() const override { return engine_.cache_count(); }
-  /// Directory index of a cache's current group.
-  std::size_t group_index_of(cache::CacheIndex i) const {
-    return engine_.group_index_of(i);
-  }
-  /// The current partition (as configured or last applied).
-  const std::vector<std::vector<cache::CacheIndex>>& groups() const override {
-    return engine_.groups();
-  }
-
-  /// Stable pointer to the simulation clock (ms); reads 0 before run().
-  /// Lets time-varying collaborators (net::DriftingRttProvider, the
-  /// control plane's probers) follow simulated time without a call-site
-  /// time parameter.
-  const double* clock_ptr() const { return queue_.now_ptr(); }
-
-  /// Replace the group partition mid-run (the control plane's actuator).
-  /// `groups` must partition exactly the non-departed caches. Directories
-  /// are rebuilt and live caches re-register their resident documents, so
-  /// cooperative state survives the cut-over; in-flight completions
-  /// re-home against the new directories. Counted in regroupings.
-  void apply_groups(
-      const std::vector<std::vector<cache::CacheIndex>>& groups) override {
-    engine_.apply_groups(groups);
-  }
-
- private:
-  /// Immediate-application sink: effects land in the metrics collector,
-  /// trace context and control hook the moment the engine produces them.
-  class DirectSink final : public EffectSink {
-   public:
-    explicit DirectSink(Simulator& sim) : sim_(sim) {}
-    void emit(const obs::TraceEvent& event) override {
-      sim_.trace_.emit(event);
-    }
-    void record(cache::CacheIndex cache, double latency_ms, Resolution how,
-                SimTime t) override {
-      sim_.metrics_->set_now(t);
-      sim_.metrics_->record(cache, latency_ms, how);
-    }
-    void rtt_sample(net::HostId src, net::HostId dst, double rtt_ms,
-                    SimTime t) override {
-      if (sim_.hook_ != nullptr) sim_.hook_->on_rtt_sample(src, dst, rtt_ms, t);
-    }
-
-   private:
-    Simulator& sim_;
-  };
-
-  ShardableEngine engine_;
-  std::unique_ptr<MetricsCollector> metrics_;
-  obs::TraceContext trace_;
-  ControlHook* hook_ = nullptr;
-  EventQueue queue_;
-  DirectSink sink_;
-  std::uint64_t control_ticks_ = 0;
+            net::HostId server, SimulationConfig config)
+      : shard::ShardedSimulator(catalog, rtt, server, std::move(config),
+                                shard::ShardOptions{1, 0.0, 1}) {}
 };
 
 /// Convenience wrapper: build a simulator, run the trace, return the report.
-SimulationReport run_simulation(const cache::Catalog& catalog,
-                                const net::RttProvider& rtt,
-                                net::HostId server, SimulationConfig config,
-                                const workload::Trace& trace);
+inline SimulationReport run_simulation(const cache::Catalog& catalog,
+                                       const net::RttProvider& rtt,
+                                       net::HostId server,
+                                       SimulationConfig config,
+                                       const workload::Trace& trace) {
+  Simulator sim(catalog, rtt, server, std::move(config));
+  return sim.run(trace);
+}
 
 }  // namespace ecgf::sim

@@ -17,7 +17,7 @@
 //   * Shard safety. partition() splits the stream by cache ownership; each
 //     per-shard source owns disjoint per-cache state, so shards can pull
 //     concurrently without locks, and the k-way merge order is the same
-//     keyed (time, EventClass, key) order the sequential driver uses. The
+//     keyed (time, EventClass, key) order every driver uses. The
 //     emitted events — times, docs, canonical keys — are identical at any
 //     (shards, threads) combination.
 //   * One uniform per decision. Every stochastic step consumes a fixed

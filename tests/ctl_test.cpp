@@ -461,7 +461,7 @@ TEST(SimulatorChurn, ApplyGroupsRewiresDirectoriesMidRun) {
   EXPECT_EQ(sim.groups()[0].size(), kCaches);
   // Every cache now shares one directory.
   for (std::uint32_t c = 1; c < kCaches; ++c) {
-    EXPECT_EQ(sim.group_index_of(c), sim.group_index_of(0));
+    EXPECT_EQ(sim.engine().group_index_of(c), sim.engine().group_index_of(0));
   }
   // Resident documents were re-registered: cooperative hits keep working
   // after the cut-over (the run completes and conserves requests).

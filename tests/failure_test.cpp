@@ -77,8 +77,8 @@ TEST(SimulatorFailure, DownCacheFallsBackToOrigin) {
   // First request: origin fetch + insert. Second: cache is down → origin.
   EXPECT_EQ(report.counts.origin_fetches, 2u);
   EXPECT_EQ(report.counts.local_hits, 0u);
-  EXPECT_TRUE(sim.is_down(0));
-  EXPECT_FALSE(sim.is_down(1));
+  EXPECT_TRUE(sim.engine().is_down(0));
+  EXPECT_FALSE(sim.engine().is_down(1));
 }
 
 TEST(SimulatorFailure, CrashedHolderRoutedAround) {

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/planner.h"
+#include "sim/simulator.h"
 #include "util/expect.h"
 
 namespace ecgf::core {

@@ -1,10 +1,9 @@
-#include "sim/simulator.h"
+#include "reference_sim.h"
 
 #include <functional>
 #include <limits>
 #include <utility>
 
-#include "obs/profile.h"
 #include "util/expect.h"
 
 namespace ecgf::sim {
@@ -13,9 +12,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-Simulator::Simulator(const cache::Catalog& catalog,
-                     const net::RttProvider& rtt, net::HostId server,
-                     SimulationConfig config)
+ReferenceSimulator::ReferenceSimulator(const cache::Catalog& catalog,
+                                       const net::RttProvider& rtt,
+                                       net::HostId server,
+                                       SimulationConfig config)
     : engine_(catalog, rtt, server, std::move(config)), sink_(*this) {
   metrics_ = std::make_unique<MetricsCollector>(engine_.cache_count());
   trace_ = engine_.config().trace;
@@ -27,14 +27,13 @@ Simulator::Simulator(const cache::Catalog& catalog,
   hook_ = engine_.config().control_hook;
 }
 
-SimulationReport Simulator::run(const workload::Trace& trace) {
+SimulationReport ReferenceSimulator::run(const workload::Trace& trace) {
   trace.validate(engine_.cache_count(), engine_.catalog().size());
   workload::TraceWorkload source(trace, engine_.cache_count());
   return run(source);
 }
 
-SimulationReport Simulator::run(workload::WorkloadSource& source) {
-  ECGF_PROF_SCOPE("sim.run");
+SimulationReport ReferenceSimulator::run(workload::WorkloadSource& source) {
   const double duration_ms = source.duration_ms();
   metrics_->set_warmup_end(duration_ms * engine_.config().warmup_fraction);
 
@@ -146,14 +145,6 @@ SimulationReport Simulator::run(workload::WorkloadSource& source) {
 
   return engine_.assemble_report(*metrics_, requests_processed, events,
                                  control_ticks_, sink_.tally);
-}
-
-SimulationReport run_simulation(const cache::Catalog& catalog,
-                                const net::RttProvider& rtt,
-                                net::HostId server, SimulationConfig config,
-                                const workload::Trace& trace) {
-  Simulator sim(catalog, rtt, server, std::move(config));
-  return sim.run(trace);
 }
 
 }  // namespace ecgf::sim

@@ -46,6 +46,7 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "reference_sim.h"
 
 namespace ecgf::schemes {
 namespace {
@@ -353,7 +354,8 @@ struct ScenarioRun {
   std::uint64_t reforms = 0;
 };
 
-/// shards == 0 → sequential sim::Simulator; otherwise ShardedSimulator
+/// shards == 0 → the frozen reference loop (sim::ReferenceSimulator);
+/// otherwise ShardedSimulator
 /// with that many shards on `threads` pool workers.
 ScenarioRun run_scenario(const std::string& scheme_name, std::size_t shards,
                          std::size_t threads = 0) {
@@ -405,7 +407,8 @@ ScenarioRun run_scenario(const std::string& scheme_name, std::size_t shards,
     config.trace = obs::TraceContext::root(&tracer, 1);
 
     if (shards == 0) {
-      sim::Simulator sim(catalog, provider, kServer, std::move(config));
+      sim::ReferenceSimulator sim(catalog, provider, kServer,
+                                  std::move(config));
       provider.bind_clock(sim.clock_ptr());
       report = sim.run(scenario_trace());
       result.partition = sim.groups();

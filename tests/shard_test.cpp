@@ -1,7 +1,8 @@
 // Tests for the sharded conservative-PDES driver (src/shard).
 //
-// The headline contract: shard::ShardedSimulator reproduces the
-// sequential sim::Simulator BIT FOR BIT at any shard count — same
+// The headline contract: shard::ShardedSimulator reproduces the frozen
+// sequential reference loop (tests/reference_sim.h) and its own one-shard
+// case, sim::Simulator, BIT FOR BIT at any shard count — same
 // SimulationReport (compared as serialized JSONL), same trace bytes —
 // even with membership churn and the ctl maintenance loop repartitioning
 // groups mid-run. Plus unit coverage for the group→shard plan, the
@@ -37,6 +38,7 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "reference_sim.h"
 
 namespace ecgf::shard {
 namespace {
@@ -369,8 +371,8 @@ sim::LinkModelConfig congested_links() {
   return links;
 }
 
-/// Runs the maintained drift + churn scenario. shards == 0 → sequential
-/// sim::Simulator; otherwise shard::ShardedSimulator with that many
+/// Runs the maintained drift + churn scenario. shards == 0 → the frozen
+/// reference loop (sim::ReferenceSimulator); otherwise shard::ShardedSimulator with that many
 /// shards executing on `threads` pool threads (0 = resolve from
 /// configured_threads()). With `contended_net` the run carries a fresh
 /// congested AccessLinkModel on the SimulationConfig::netmodel seam.
@@ -431,7 +433,8 @@ ScenarioRun run_scenario(std::size_t shards, std::size_t threads = 0,
     }
 
     if (shards == 0) {
-      sim::Simulator sim(catalog, provider, kServer, std::move(config));
+      sim::ReferenceSimulator sim(catalog, provider, kServer,
+                                  std::move(config));
       provider.bind_clock(sim.clock_ptr());
       result.report = sim.run(drifty_trace());
       result.partition = sim.groups();
@@ -969,7 +972,7 @@ struct ChurnRun {
   double epoch_initial_ms = 0.0;
 };
 
-/// shards == 0 runs the sequential simulator. With a `tracer` the engine
+/// shards == 0 runs the frozen reference loop. With a `tracer` the engine
 /// and the maintenance session trace into it.
 ChurnRun run_maintained_churn(std::size_t shards, double quantum_ms = 1.0,
                               obs::Tracer* tracer = nullptr) {
@@ -1030,7 +1033,8 @@ ChurnRun run_maintained_churn(std::size_t shards, double quantum_ms = 1.0,
   ChurnRun run;
   sim::SimulationReport report;
   if (shards == 0) {
-    sim::Simulator sim(catalog, provider, kChurnServer, std::move(config));
+    sim::ReferenceSimulator sim(catalog, provider, kChurnServer,
+                                std::move(config));
     provider.bind_clock(sim.clock_ptr());
     report = sim.run(churn_trace());
   } else {

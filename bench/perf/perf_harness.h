@@ -22,6 +22,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "peak_rss.h"
@@ -139,7 +140,8 @@ class Report {
   }
 
   /// Write the JSON document. Schema (ecgf-bench-perf/1): top-level
-  /// `schema`, `mode` ("full"|"smoke"), `threads`, and `entries[]`, each
+  /// `schema`, `mode` ("full"|"smoke"), `threads`, `host_cores`,
+  /// `peak_rss_bytes` and `entries[]`, each
   /// with `bench`, `params`, `n`, `naive`/`optimized` timing objects
   /// (median_ms/min_ms/mean_ms/reps) and the derived `speedup`
   /// (naive median / optimized median; higher is better).
@@ -147,7 +149,8 @@ class Report {
     std::ofstream out(path);
     if (!out) return false;
     out << "{\n  \"schema\": \"ecgf-bench-perf/1\",\n  \"mode\": \"" << mode_
-        << "\",\n  \"threads\": " << threads_
+        << "\",\n  \"threads\": " << threads_ << ",\n  \"host_cores\": "
+        << std::max(1u, std::thread::hardware_concurrency())
         << ",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
         << ",\n  \"entries\": [";
     for (std::size_t i = 0; i < entries_.size(); ++i) {

@@ -317,6 +317,12 @@ if ! grep -q "shape-check: PASS — regroup apply_groups == rebuild from scratch
   echo "!! perf smoke did not run the regroup equality check" >&2
   fail=1
 fi
+# Likewise the dijkstra pair's: the bridge-tree kernel must equal one
+# whole-graph dijkstra() per stub router.
+if ! grep -q "shape-check: PASS — multi-source dijkstra == per-source dijkstra" <<<"$perf_out"; then
+  echo "!! perf smoke did not run the dijkstra equality check" >&2
+  fail=1
+fi
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$perf_json" \
     || { echo "!! perf smoke JSON does not parse" >&2; fail=1; }
@@ -410,17 +416,22 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
   if c++ -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" \
        >/dev/null 2>&1 && "$asan_probe/probe"; then
-    echo "== AddressSanitizer shard (sim_test, shard_test, ctl_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test) =="
+    echo "== AddressSanitizer shard (sim_test, shard_test, ctl_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test, topology_test, shortest_paths_test) =="
     asan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-asan/CMakeCache.txt ]]; then
       asan_generator=(-G Ninja)
     fi
     cmake -B build-asan "${asan_generator[@]}" -DECGF_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    # ctl_test drives apply_groups through the maintenance session.
+    # ctl_test drives apply_groups through the maintenance session;
+    # topology_test and shortest_paths_test cover the bridge-tree kernel's
+    # Tarjan pass and its index-heavy per-component folds. The bakeoff
+    # binary is built because the ctest run below includes the
+    # BakeoffRows script test, which runs it.
     cmake --build build-asan -j"$(nproc)" --target sim_test shard_test \
       ctl_test schemes_test net_test cache_test netmodel_test workload_test \
-      live_test perf_kernels_test differential_test
+      live_test perf_kernels_test differential_test topology_test \
+      shortest_paths_test bakeoff
     # gtest_discover_tests registers per-case names (not binary names), so
     # run everything discovered in this tree except the <target>_NOT_BUILT
     # placeholders of the test binaries we deliberately didn't build.
@@ -445,7 +456,7 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
   echo 'int main(){return 0;}' > "$tsan_probe/probe.cpp"
   if c++ -fsanitize=thread "$tsan_probe/probe.cpp" -o "$tsan_probe/probe" \
        >/dev/null 2>&1 && "$tsan_probe/probe"; then
-    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test) =="
+    echo "== ThreadSanitizer pass (threading_test, obs_test, ctl_test, shard_test, schemes_test, netmodel_test, workload_test, live_test, perf_kernels_test, differential_test, topology_test, shortest_paths_test) =="
     tsan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-tsan/CMakeCache.txt ]]; then
       tsan_generator=(-G Ninja)
@@ -454,7 +465,7 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build build-tsan -j"$(nproc)" --target threading_test obs_test \
       ctl_test shard_test schemes_test netmodel_test workload_test live_test \
-      perf_kernels_test differential_test
+      perf_kernels_test differential_test topology_test shortest_paths_test
     ECGF_THREADS=8 ./build-tsan/tests/threading_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/obs_test || fail=1
     ECGF_THREADS=8 ./build-tsan/tests/ctl_test || fail=1
@@ -469,6 +480,10 @@ if [[ "${ECGF_SKIP_TSAN:-0}" != "1" ]]; then
     ECGF_THREADS=8 ./build-tsan/tests/perf_kernels_test || fail=1
     # Every driver on random worlds, sharded runs on up to 8 pool threads.
     ECGF_THREADS=8 ./build-tsan/tests/differential_test || fail=1
+    # Shortest-path rows on pool workers, each with its own thread-local
+    # heap and walk stack over one shared bridge-tree decomposition.
+    ECGF_THREADS=8 ./build-tsan/tests/topology_test || fail=1
+    ECGF_THREADS=8 ./build-tsan/tests/shortest_paths_test || fail=1
   else
     echo "== ThreadSanitizer unsupported by this toolchain; skipping =="
   fi

@@ -90,6 +90,11 @@ net::BasicDistanceMatrix<T> fill_host_rtt_matrix(
   }
   const auto router_dist =
       topology::multi_source_shortest_paths(graph, distinct);
+  // Each host's router row, resolved once instead of per pair.
+  std::vector<const std::vector<double>*> host_dist(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    host_dist[j] = &router_dist[router_row.at(placement.attach_node[j])];
+  }
 
   // Fill each packed row in ascending order — one sequential front-to-back
   // pass over the buffer. The pair (j, i) with j < i uses host j's router
@@ -101,9 +106,7 @@ net::BasicDistanceMatrix<T> fill_host_rtt_matrix(
   for (std::size_t i = 1; i < n; ++i) {
     const std::span<T> row = matrix.lower_row(i);
     for (std::size_t j = 0; j < i; ++j) {
-      const auto& dist_j =
-          router_dist[router_row.at(placement.attach_node[j])];
-      const double path = dist_j[placement.attach_node[i]];
+      const double path = (*host_dist[j])[placement.attach_node[i]];
       ECGF_ASSERT(path != topology::kUnreachable);
       const double one_way =
           placement.last_mile_ms[j] + path + placement.last_mile_ms[i];

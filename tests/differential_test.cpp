@@ -370,6 +370,29 @@ TEST(DriverDifferentialWorlds, SeedBudgetCoversEveryAxis) {
   EXPECT_LT(ties, kSeeds);
 }
 
+TEST(DriverDifferentialWorlds, EveryDriverDropsTheSameLateCompletions) {
+  // The drain rule (docs/architecture.md): a run ends at the trace's end
+  // plus EpochSchedule::kDrainMs, and a completion due later is dropped.
+  // Its arrival still counts in requests_processed; raw_counts never
+  // records it. Seed 25 draws a contended link model whose queues push
+  // two of its 396 completions past that horizon, on every driver alike.
+  const World world = make_world(25);
+  ASSERT_TRUE(world.contended_net) << world.describe();
+  const std::uint64_t requests = world.trace.requests.size();
+  ASSERT_EQ(requests, 396u);
+
+  struct Variant {
+    std::size_t shards, threads;
+  };
+  const Variant variants[] = {{0, 1}, {1, 1}, {4, 1}, {4, 8}, {8, 2}};
+  for (const Variant& v : variants) {
+    const DriverRun run = run_world(world, v.shards, v.threads);
+    EXPECT_EQ(run.raw.requests_processed, requests) << v.shards << " shards";
+    EXPECT_EQ(requests - run.raw.raw_counts.total(), 2u)
+        << v.shards << " shards, " << v.threads << " threads";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DriverDifferential, ::testing::Range<std::uint64_t>(1, kSeeds + 1),
     [](const ::testing::TestParamInfo<std::uint64_t>& info) {

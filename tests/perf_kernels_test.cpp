@@ -288,28 +288,15 @@ TEST(PerfKernels, PackedRttMatrixMatchesDenseBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena / CSR Dijkstra == reference dijkstra().
+// Bridge-tree multi-source kernel == reference dijkstra().
 
-TEST(PerfKernels, ArenaAndCsrDijkstraMatchReference) {
+TEST(PerfKernels, BridgeTreeDijkstraMatchesReference) {
   util::Rng rng(55);
   const auto topo = topology::generate_transit_stub(
       core::scaled_topology_for(80), rng);
   std::vector<topology::NodeId> sources = topo.stub_nodes();
   if (sources.size() > 24) sources.resize(24);
   ASSERT_FALSE(sources.empty());
-
-  // One scratch reused across every source: the contract says reuse
-  // cannot change results.
-  topology::DijkstraScratch scratch;
-  const topology::CsrGraphView csr(topo.graph);
-  std::vector<double> arena_out, csr_out;
-  for (topology::NodeId s : sources) {
-    const auto reference = topology::dijkstra(topo.graph, s);
-    topology::dijkstra_into(topo.graph, s, scratch, arena_out);
-    csr.dijkstra_into(s, scratch, csr_out);
-    EXPECT_EQ(reference, arena_out) << "source " << s;
-    EXPECT_EQ(reference, csr_out) << "source " << s;
-  }
 
   const auto multi = topology::multi_source_shortest_paths(topo.graph, sources);
   ASSERT_EQ(multi.size(), sources.size());

@@ -30,7 +30,7 @@
 // --scheme=proximity repairs with the balanced two-choice maintainer).
 // All are scanned manually: util::Flags rejects flags it doesn't know,
 // while ObsSession ignores (and does not consume) non-obs flags.
-#include <fstream>
+#include <algorithm>
 #include <string>
 
 #include "bench_common.h"
@@ -96,15 +96,6 @@ struct CongestionResult {
   std::uint64_t maintained_drops = 0;
   std::uint64_t maintained_marks = 0;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -429,99 +420,76 @@ int main(int argc, char** argv) {
               << util::format_fixed(wc.cold_wcss, 1) << ")\n\n";
   }
 
-  struct Check {
-    std::string claim;
-    bool ok;
-  };
+  bench::Report report("ecgf-ablation-churn/2", smoke ? "smoke" : "full");
+  report.set("scheme", scheme_name);
+  bench::Json levels = bench::Json::array();
+  for (const auto& r : rows) {
+    levels.push(bench::Json::object()
+                    .set("drift_fraction", r.drift_fraction)
+                    .set("churn_pairs", r.churn_pairs)
+                    .set("static_miss_ms", r.static_miss_ms)
+                    .set("maintained_miss_ms", r.maintained_miss_ms)
+                    .set("rand_vs_formation", r.rand_vs_formation)
+                    .set("maintenance_probes", r.maintenance_probes)
+                    .set("repairs", r.repairs)
+                    .set("reforms", r.reforms)
+                    .set("regroupings", r.regroupings));
+  }
+  report.set("levels", levels);
+  report.set("warm_vs_cold", bench::Json::object()
+                                 .set("warm_iterations", wc.warm_iterations)
+                                 .set("cold_iterations", wc.cold_iterations)
+                                 .set("warm_wcss", wc.warm_wcss)
+                                 .set("cold_wcss", wc.cold_wcss));
+  report.set("congestion",
+             bench::Json::object()
+                 .set("static_miss_ms", congestion.static_miss_ms)
+                 .set("maintained_miss_ms", congestion.maintained_miss_ms)
+                 .set("static_drops", congestion.static_drops)
+                 .set("static_marks", congestion.static_marks)
+                 .set("maintained_drops", congestion.maintained_drops)
+                 .set("maintained_marks", congestion.maintained_marks));
+
   const auto& calm = rows.front();
   const auto& stormy = rows.back();
-  std::vector<Check> checks;
   // The latency-improvement claims are tuned for the default SL arm; a
   // --scheme override reports its numbers without asserting them.
   if (scheme_name == "sl") {
-    checks.push_back(
-        {"maintained grouping beats static on avg miss latency under heavy "
-         "drift + churn",
-         stormy.maintained_miss_ms < stormy.static_miss_ms});
-    checks.push_back(
-        {"maintenance never worsens miss latency by more than 2% at any "
-         "level",
-         [&] {
-           bool ok = true;
-           for (const auto& r : rows) {
-             ok &= r.maintained_miss_ms < r.static_miss_ms * 1.02;
-           }
-           return ok;
-         }()});
+    report.check(
+        "maintained grouping beats static on avg miss latency under heavy "
+        "drift + churn",
+        stormy.maintained_miss_ms < stormy.static_miss_ms);
+    report.check(
+        "maintenance never worsens miss latency by more than 2% at any "
+        "level",
+        std::all_of(rows.begin(), rows.end(), [](const LevelResult& r) {
+          return r.maintained_miss_ms < r.static_miss_ms * 1.02;
+        }));
   }
-  checks.push_back(
-      {"maintenance is quiet on an undrifted network (no actions, grouping "
-       "unchanged)",
-       calm.repairs + calm.reforms == 0 && calm.rand_vs_formation == 1.0});
-  checks.push_back(
-      {"heavy drift forces real regrouping (final partition differs from "
-       "formation)",
-       stormy.regroupings > 0 && stormy.rand_vs_formation < 1.0});
-  checks.push_back(
-      {"warm-started re-formation reaches cold-init WCSS in fewer "
-       "iterations",
-       wc.warm_iterations < wc.cold_iterations &&
-           wc.warm_wcss <= wc.cold_wcss * (1.0 + 1e-9)});
-  checks.push_back(
-      {"congested access links inflate miss latency beyond the ideal "
-       "network",
-       congestion.static_miss_ms > stormy.static_miss_ms &&
-           congestion.maintained_miss_ms > stormy.maintained_miss_ms});
-  checks.push_back(
-      {"congested rescoring records queue drops and ECN marks in both arms",
-       congestion.static_drops > 0 && congestion.static_marks > 0 &&
-           congestion.maintained_drops > 0 &&
-           congestion.maintained_marks > 0});
-
-  bool all_ok = true;
-  for (const auto& c : checks) {
-    bench::shape_check(c.claim, c.ok);
-    all_ok &= c.ok;
-  }
-
-  if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    out << "{\n  \"schema\": \"ecgf-ablation-churn/2\",\n  \"mode\": \""
-        << (smoke ? "smoke" : "full") << "\",\n  \"scheme\": \""
-        << json_escape(scheme_name)
-        << "\",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-        << ",\n  \"levels\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      out << "    {\"drift_fraction\": " << r.drift_fraction
-          << ", \"churn_pairs\": " << r.churn_pairs
-          << ", \"static_miss_ms\": " << r.static_miss_ms
-          << ", \"maintained_miss_ms\": " << r.maintained_miss_ms
-          << ", \"rand_vs_formation\": " << r.rand_vs_formation
-          << ", \"maintenance_probes\": " << r.maintenance_probes
-          << ", \"repairs\": " << r.repairs << ", \"reforms\": " << r.reforms
-          << ", \"regroupings\": " << r.regroupings << "}"
-          << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"warm_vs_cold\": {\"warm_iterations\": "
-        << wc.warm_iterations << ", \"cold_iterations\": "
-        << wc.cold_iterations << ", \"warm_wcss\": " << wc.warm_wcss
-        << ", \"cold_wcss\": " << wc.cold_wcss
-        << "},\n  \"congestion\": {\"static_miss_ms\": "
-        << congestion.static_miss_ms
-        << ", \"maintained_miss_ms\": " << congestion.maintained_miss_ms
-        << ", \"static_drops\": " << congestion.static_drops
-        << ", \"static_marks\": " << congestion.static_marks
-        << ", \"maintained_drops\": " << congestion.maintained_drops
-        << ", \"maintained_marks\": " << congestion.maintained_marks
-        << "},\n  \"shape_checks\": [\n";
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-      out << "    {\"claim\": \"" << json_escape(checks[i].claim)
-          << "\", \"pass\": " << (checks[i].ok ? "true" : "false") << "}"
-          << (i + 1 < checks.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << json_out << "\n";
-  }
-  return all_ok ? 0 : 1;
+  report.check(
+      "maintenance is quiet on an undrifted network (no actions, grouping "
+      "unchanged)",
+      calm.repairs + calm.reforms == 0 && calm.rand_vs_formation == 1.0);
+  report.check(
+      "heavy drift forces real regrouping (final partition differs from "
+      "formation)",
+      stormy.regroupings > 0 && stormy.rand_vs_formation < 1.0);
+  report.check(
+      "warm-started re-formation reaches cold-init WCSS in fewer "
+      "iterations",
+      wc.warm_iterations < wc.cold_iterations &&
+          wc.warm_wcss <= wc.cold_wcss * (1.0 + 1e-9));
+  // A miss latency is a mean of non-negative RTTs, so this also holds both
+  // congested miss latencies above zero.
+  report.check(
+      "congested access links inflate miss latency beyond the ideal "
+      "network",
+      congestion.static_miss_ms > stormy.static_miss_ms &&
+          congestion.maintained_miss_ms > stormy.maintained_miss_ms);
+  report.check(
+      "congested rescoring records queue drops and ECN marks in both arms",
+      congestion.static_drops > 0 && congestion.static_marks > 0 &&
+          congestion.maintained_drops > 0 &&
+          congestion.maintained_marks > 0);
+  return report.finish(json_out);
 }

@@ -29,7 +29,6 @@
 //
 // --smoke shrinks everything for CI; --json-out=FILE writes the
 // machine-readable report (schema ecgf-bench-net/1).
-#include <fstream>
 #include <optional>
 #include <string>
 
@@ -93,15 +92,6 @@ struct ArmResult {
   std::uint64_t marks = 0;
   std::uint64_t retransmits = 0;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -277,73 +267,51 @@ int main(int argc, char** argv) {
             << " B, max link utilisation "
             << util::format_fixed(congested.max_link_utilisation, 3) << "\n\n";
 
-  struct Check {
-    std::string claim;
-    bool ok;
+  // The arm fields were first written through std::to_string: six decimals.
+  const auto arm_json = [](const ArmResult& arm) {
+    return bench::Json::object()
+        .set("miss_ms", bench::Json::fixed(arm.miss_ms, 6))
+        .set("avg_ms", bench::Json::fixed(arm.avg_ms, 6))
+        .set("drops", arm.drops)
+        .set("marks", arm.marks)
+        .set("retransmits", arm.retransmits);
   };
-  std::vector<Check> checks;
-  checks.push_back(
-      {"RTT-only formation is at least as good on the ideal network",
-       ideal_rtt.miss_ms <= ideal_bw.miss_ms});
-  checks.push_back(
-      {"bandwidth-aware formation wins on miss latency under flash-crowd "
-       "overload",
-       over_bw.miss_ms < over_rtt.miss_ms});
-  checks.push_back({"overload drives queue drops and ECN marks",
-                    over_rtt.drops > 0 && over_rtt.marks > 0});
-  checks.push_back({"quiet scenario records zero drops and zero marks",
-                    quiet.drops == 0 && quiet.marks == 0});
-  checks.push_back(
-      {"uncontended CongestionExchange reproduces DirectExchange exactly",
-       seam_exact});
-  checks.push_back(
-      {"congested origin uplink drops, marks and stretches the tail",
-       congested.net_drops > 0 && congested.net_marks > 0 &&
-           congested.base.p99_latency_ms > direct.base.p99_latency_ms});
+  bench::Report report("ecgf-bench-net/1", smoke ? "smoke" : "full");
+  report.set("caches", cfg.caches);
+  report.set("thin_caches", thin_caches);
+  report.set("ideal", bench::Json::object()
+                          .set("rtt_only", arm_json(ideal_rtt))
+                          .set("bw_aware", arm_json(ideal_bw)));
+  report.set("overload", bench::Json::object()
+                             .set("rtt_only", arm_json(over_rtt))
+                             .set("bw_aware", arm_json(over_bw)));
+  report.set("quiet", arm_json(quiet));
+  report.set("message_engine",
+             bench::Json::object()
+                 .set("seam_exact", seam_exact)
+                 .set("congested_drops", congested.net_drops)
+                 .set("congested_marks", congested.net_marks)
+                 .set("congested_retransmits", congested.net_retransmits)
+                 .set("congested_p99_ms", congested.base.p99_latency_ms)
+                 .set("peak_queue_bytes", congested.peak_queue_bytes)
+                 .set("max_link_utilisation", congested.max_link_utilisation));
 
-  bool all_ok = true;
-  for (const auto& c : checks) {
-    bench::shape_check(c.claim, c.ok);
-    all_ok &= c.ok;
-  }
-
-  if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    const auto arm_json = [](const ArmResult& arm) {
-      std::string s = "{\"miss_ms\": " + std::to_string(arm.miss_ms) +
-                      ", \"avg_ms\": " + std::to_string(arm.avg_ms) +
-                      ", \"drops\": " + std::to_string(arm.drops) +
-                      ", \"marks\": " + std::to_string(arm.marks) +
-                      ", \"retransmits\": " + std::to_string(arm.retransmits) +
-                      "}";
-      return s;
-    };
-    out << "{\n  \"schema\": \"ecgf-bench-net/1\",\n  \"mode\": \""
-        << (smoke ? "smoke" : "full")
-        << "\",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-        << ",\n  \"caches\": " << cfg.caches
-        << ",\n  \"thin_caches\": " << thin_caches
-        << ",\n  \"ideal\": {\"rtt_only\": " << arm_json(ideal_rtt)
-        << ", \"bw_aware\": " << arm_json(ideal_bw)
-        << "},\n  \"overload\": {\"rtt_only\": " << arm_json(over_rtt)
-        << ", \"bw_aware\": " << arm_json(over_bw)
-        << "},\n  \"quiet\": " << arm_json(quiet)
-        << ",\n  \"message_engine\": {\"seam_exact\": "
-        << (seam_exact ? "true" : "false")
-        << ", \"congested_drops\": " << congested.net_drops
-        << ", \"congested_marks\": " << congested.net_marks
-        << ", \"congested_retransmits\": " << congested.net_retransmits
-        << ", \"congested_p99_ms\": " << congested.base.p99_latency_ms
-        << ", \"peak_queue_bytes\": " << congested.peak_queue_bytes
-        << ", \"max_link_utilisation\": " << congested.max_link_utilisation
-        << "},\n  \"shape_checks\": [\n";
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-      out << "    {\"claim\": \"" << json_escape(checks[i].claim)
-          << "\", \"pass\": " << (checks[i].ok ? "true" : "false") << "}"
-          << (i + 1 < checks.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << json_out << "\n";
-  }
-  return all_ok ? 0 : 1;
+  report.check("RTT-only formation is at least as good on the ideal network",
+               ideal_rtt.miss_ms <= ideal_bw.miss_ms);
+  report.check(
+      "bandwidth-aware formation wins on miss latency under flash-crowd "
+      "overload",
+      over_bw.miss_ms < over_rtt.miss_ms);
+  report.check("overload drives queue drops and ECN marks",
+               over_rtt.drops > 0 && over_rtt.marks > 0);
+  report.check("quiet scenario records zero drops and zero marks",
+               quiet.drops == 0 && quiet.marks == 0);
+  report.check(
+      "uncontended CongestionExchange reproduces DirectExchange exactly",
+      seam_exact);
+  report.check(
+      "congested origin uplink drops, marks and stretches the tail",
+      congested.net_drops > 0 && congested.net_marks > 0 &&
+          congested.base.p99_latency_ms > direct.base.p99_latency_ms);
+  return report.finish(json_out);
 }

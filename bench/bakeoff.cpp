@@ -19,12 +19,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -170,15 +167,6 @@ ArmResult run_sim(const cache::Catalog& catalog, const net::RttProvider& rtt,
   arm.leaves = report.leaves_applied;
   arm.joins = report.joins_applied;
   return arm;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -349,9 +337,38 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
+  bench::Report report("ecgf-bench-bakeoff/1", smoke ? "smoke" : "full");
+  bench::Json schemes_json = bench::Json::array();
+  for (const std::string& name : scheme_names) schemes_json.push(name);
+  report.set("schemes", schemes_json);
+  const auto arm_json = [](const ArmResult& arm) {
+    return bench::Json::object()
+        .set("hit_rate", arm.hit_rate)
+        .set("avg_latency_ms", arm.avg_latency_ms)
+        .set("avg_miss_latency_ms", arm.avg_miss_latency_ms)
+        .set("leaves", arm.leaves)
+        .set("joins", arm.joins);
+  };
+  bench::Json entries_json = bench::Json::array();
+  for (const Entry& e : entries) {
+    entries_json.push(bench::Json::object()
+                          .set("n", e.n)
+                          .set("k", e.k)
+                          .set("provider", e.provider)
+                          .set("scheme", e.scheme)
+                          .set("formation_probes", e.formation_probes)
+                          .set("formation_wall_ms", e.formation_wall_ms)
+                          .set("gicost_ms", e.gicost_ms)
+                          .set("max_group", e.max_group)
+                          .set("min_group", e.min_group)
+                          .set("partition_valid", e.partition_valid)
+                          .set("quiet", arm_json(e.quiet))
+                          .set("churn", arm_json(e.churn)));
+  }
+  report.set("entries", entries_json);
+
   // Shape checks. Cross-scheme claims need the full table, so a
   // --scheme= filter runs only the per-scheme invariants.
-  bool ok = true;
   bool valid = true;
   bool costs_positive = true;
   for (const Entry& e : entries) {
@@ -359,12 +376,11 @@ int main(int argc, char** argv) {
     costs_positive &= e.formation_probes > 0 && e.formation_wall_ms > 0.0 &&
                       e.gicost_ms > 0.0;
   }
-  bench::shape_check("every scheme produced a full valid partition at every N",
-                     valid);
-  bench::shape_check(
+  report.check("every scheme produced a full valid partition at every N",
+               valid);
+  report.check(
       "every formation reported positive probe, wall, and interaction costs",
       costs_positive);
-  ok &= valid && costs_positive;
 
   auto find = [&](std::size_t n, const std::string& scheme) -> const Entry* {
     for (const Entry& e : entries) {
@@ -372,7 +388,21 @@ int main(int argc, char** argv) {
     }
     return nullptr;
   };
-  if (only_scheme.empty()) {
+  // The cross-scheme claims below look rows up by name, so the full table
+  // must hold exactly the canonical schemes at every N before they run.
+  const std::vector<std::string> canonical = {"sl",  "sdsl",      "random",
+                                              "geo", "proximity", "ucc"};
+  bool covered = scheme_names == canonical &&
+                 entries.size() == cases.size() * canonical.size();
+  for (const Case& c : cases) {
+    for (const std::string& name : canonical) {
+      covered &= find(c.n, name) != nullptr;
+    }
+  }
+  if (only_scheme.empty() &&
+      report.check("the table lists the registry's schemes in canonical "
+                   "order (sl, sdsl, random, geo, proximity, ucc) at every N",
+                   covered)) {
     bool sdsl_beats_random = true;
     bool locality_beats_random = true;
     bool prox_capped = true;
@@ -387,57 +417,17 @@ int main(int argc, char** argv) {
       sdsl_beats_random &= find(c.n, "sdsl")->quiet.avg_miss_latency_ms <
                            random->quiet.avg_miss_latency_ms;
       const Entry* prox = find(c.n, "proximity");
-      const std::size_t cap =
-          (c.n + find(c.n, "proximity")->k - 1) / prox->k;
+      const std::size_t cap = (c.n + prox->k - 1) / prox->k;
       prox_capped &= prox->max_group <= cap;
     }
-    bench::shape_check(
+    report.check(
         "SDSL beats the random baseline on avg miss latency at every N",
         sdsl_beats_random);
-    bench::shape_check(
+    report.check(
         "every locality-aware scheme beats random on interaction cost",
         locality_beats_random);
-    bench::shape_check(
-        "proximity never exceeds its ceil(n/k) group-size cap",
-        prox_capped);
-    ok &= sdsl_beats_random && locality_beats_random && prox_capped;
+    report.check("proximity never exceeds its ceil(n/k) group-size cap",
+                 prox_capped);
   }
-
-  std::ofstream out(json_out);
-  out << "{\n  \"schema\": \"ecgf-bench-bakeoff/1\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"host_cores\": "
-      << std::max(1u, std::thread::hardware_concurrency())
-      << ",\n  \"schemes\": [";
-  for (std::size_t i = 0; i < scheme_names.size(); ++i) {
-    out << (i > 0 ? ", " : "") << '"' << json_escape(scheme_names[i]) << '"';
-  }
-  out << "],\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-      << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const auto arm_json = [&](const ArmResult& arm) {
-      std::ostringstream s;
-      s << "{\"hit_rate\": " << arm.hit_rate
-        << ", \"avg_latency_ms\": " << arm.avg_latency_ms
-        << ", \"avg_miss_latency_ms\": " << arm.avg_miss_latency_ms
-        << ", \"leaves\": " << arm.leaves << ", \"joins\": " << arm.joins
-        << "}";
-      return s.str();
-    };
-    out << "    {\"n\": " << e.n << ", \"k\": " << e.k << ", \"provider\": \""
-        << json_escape(e.provider) << "\", \"scheme\": \""
-        << json_escape(e.scheme)
-        << "\", \"formation_probes\": " << e.formation_probes
-        << ", \"formation_wall_ms\": " << e.formation_wall_ms
-        << ", \"gicost_ms\": " << e.gicost_ms
-        << ", \"max_group\": " << e.max_group
-        << ", \"min_group\": " << e.min_group
-        << ", \"partition_valid\": " << (e.partition_valid ? "true" : "false")
-        << ", \"quiet\": " << arm_json(e.quiet)
-        << ", \"churn\": " << arm_json(e.churn) << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_out << "\n";
-  return ok ? 0 : 1;
+  return report.finish(json_out);
 }

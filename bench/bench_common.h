@@ -1,5 +1,6 @@
 // Shared helpers for the figure benches: canonical parameter sets matching
-// the paper's setup (§5) and shape-check reporting.
+// the paper's setup (§5) and table printing; shape checks and JSON reports
+// come from report.h.
 //
 // Every fig bench prints (a) an aligned table of the series the paper
 // plots, (b) the same rows as CSV, and (c) `# shape-check:` lines asserting
@@ -12,7 +13,7 @@
 #include "core/coordinator.h"
 #include "core/experiment.h"
 #include "obs/session.h"
-#include "peak_rss.h"
+#include "report.h"
 #include "util/table.h"
 
 namespace ecgf::bench {
@@ -45,13 +46,6 @@ inline sim::SimulationConfig paper_sim_config() {
   config.policy = cache::PolicyKind::kUtility;
   config.beacons_per_group = 3;
   return config;
-}
-
-/// Emit one shape-check line; `ok` is this run's verdict on a qualitative
-/// claim from the paper.
-inline void shape_check(const std::string& claim, bool ok) {
-  std::cout << "# shape-check: " << (ok ? "PASS" : "FAIL") << " — " << claim
-            << '\n';
 }
 
 inline void print_table(const util::Table& table) {

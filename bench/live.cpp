@@ -12,8 +12,8 @@
 //
 // Writes BENCH_live.json (schema ecgf-bench-live/1). When the sandbox
 // forbids loopback sockets or ECGF_SKIP_LIVE=1 is set, the bench emits a
-// waiver JSON (mode "skipped" plus the reason) and exits 0 so check.sh
-// can still lint the schema without a network-capable container.
+// waiver JSON (mode "skipped" plus the reason) and exits 0; the report
+// gate (bench/check_report.cmake) accepts a waiver on its reason alone.
 //
 // --smoke shrinks the sweep for CI; --json-out=FILE sets the output path.
 #include <sys/types.h>
@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -33,15 +32,10 @@
 #include "live/runspec.h"
 #include "live/sock.h"
 #include "obs/export.h"
-#include "peak_rss.h"
+#include "report.h"
 
 namespace ecgf {
 namespace {
-
-void shape_check(const std::string& claim, bool ok) {
-  std::cout << "# shape-check: " << (ok ? "PASS" : "FAIL") << " — " << claim
-            << '\n';
-}
 
 live::RunSpec bench_spec(bool smoke) {
   live::RunSpec spec;
@@ -65,13 +59,14 @@ struct Entry {
   std::uint64_t windows = 0;
   std::uint64_t probes = 0;
   bool identical = true;
+  bool members_ok = true;  ///< every member exited 0
   std::string report_jsonl;
 };
 
 /// Fork `members` child processes, each running one live::MemberProcess
 /// to completion (then _exit, skipping atexit handlers — the child shares
 /// this process's stdio and must not flush its buffers). The parent runs
-/// the coordinator and reaps every child.
+/// the coordinator and reaps every child, recording whether all exited 0.
 Entry run_live(const live::RunSpec& spec, std::uint32_t members) {
   Entry e;
   e.members = members;
@@ -103,15 +98,13 @@ Entry run_live(const live::RunSpec& spec, std::uint32_t members) {
   const live::LiveRunResult result = coordinator.run();
   const auto t1 = std::chrono::steady_clock::now();
 
-  bool children_ok = true;
   for (const pid_t pid : children) {
     int status = 0;
     if (waitpid(pid, &status, 0) != pid ||
         !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      children_ok = false;
+      e.members_ok = false;
     }
   }
-  if (!children_ok) throw std::runtime_error("a member process failed");
 
   e.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   e.events = result.report.events_executed;
@@ -127,24 +120,6 @@ Entry run_live(const live::RunSpec& spec, std::uint32_t members) {
   return e;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void write_waiver(const std::string& json_out, const std::string& reason) {
-  std::ofstream out(json_out);
-  out << "{\n  \"schema\": \"ecgf-bench-live/1\",\n  \"mode\": \"skipped\","
-      << "\n  \"reason\": \"" << json_escape(reason)
-      << "\",\n  \"entries\": []\n}\n";
-  std::cout << "live bench skipped: " << reason << " (wrote " << json_out
-            << ")\n";
-}
-
 }  // namespace
 }  // namespace ecgf
 
@@ -158,13 +133,18 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
   }
 
+  bench::Report report("ecgf-bench-live/1", smoke ? "smoke" : "full");
+  std::string skip_reason;
   if (live::skip_live_requested()) {
-    write_waiver(json_out, "ECGF_SKIP_LIVE=1");
-    return 0;
+    skip_reason = "ECGF_SKIP_LIVE=1";
+  } else if (!live::sockets_available()) {
+    skip_reason = "loopback sockets unavailable in this sandbox";
   }
-  if (!live::sockets_available()) {
-    write_waiver(json_out, "loopback sockets unavailable in this sandbox");
-    return 0;
+  if (!skip_reason.empty()) {
+    std::cout << "live bench skipped: " << skip_reason << "\n";
+    report.skip(skip_reason);
+    report.set("entries", bench::Json::array());
+    return report.finish(json_out);
   }
 
   const live::RunSpec spec = bench_spec(smoke);
@@ -198,10 +178,12 @@ int main(int argc, char** argv) {
   std::vector<Entry> entries;
   entries.push_back(baseline);
   bool all_identical = true;
+  bool members_ok = true;
   for (const std::uint32_t members : member_counts) {
     Entry e = run_live(spec, members);
     e.identical = e.report_jsonl == baseline.report_jsonl;
     all_identical = all_identical && e.identical;
+    members_ok = members_ok && e.members_ok;
     std::cout << "  members=" << members << ": " << e.wall_ms << " ms, "
               << e.events << " events, " << e.cuts << " cuts, " << e.windows
               << " windows, " << e.probes << " probes, report "
@@ -209,31 +191,27 @@ int main(int argc, char** argv) {
     entries.push_back(std::move(e));
   }
 
-  shape_check("every live member count reproduces the sequential oracle's "
-              "report byte-for-byte",
-              all_identical);
-  shape_check("all member processes exited cleanly across the sweep", true);
+  report.check("every live member count reproduces the sequential oracle's "
+               "report byte-for-byte",
+               all_identical);
+  report.check("all member processes exited cleanly across the sweep",
+               members_ok);
 
-  std::ofstream out(json_out);
-  out << "{\n  \"schema\": \"ecgf-bench-live/1\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full")
-      << "\",\n  \"caches\": " << spec.cache_count
-      << ",\n  \"duration_ms\": " << spec.duration_ms
-      << ",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-      << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"driver\": \""
-        << (e.members == 0 ? "sequential" : "live") << "\", \"members\": "
-        << e.members << ", \"wall_ms\": " << e.wall_ms
-        << ", \"events\": " << e.events
-        << ", \"events_per_sec\": " << e.events_per_sec
-        << ", \"cuts\": " << e.cuts << ", \"windows\": " << e.windows
-        << ", \"probes\": " << e.probes << ", \"report_identical\": "
-        << (e.identical ? "true" : "false") << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
+  report.set("caches", spec.cache_count);
+  report.set("duration_ms", spec.duration_ms);
+  bench::Json entries_json = bench::Json::array();
+  for (const Entry& e : entries) {
+    entries_json.push(bench::Json::object()
+                          .set("driver", e.members == 0 ? "sequential" : "live")
+                          .set("members", e.members)
+                          .set("wall_ms", e.wall_ms)
+                          .set("events", e.events)
+                          .set("events_per_sec", e.events_per_sec)
+                          .set("cuts", e.cuts)
+                          .set("windows", e.windows)
+                          .set("probes", e.probes)
+                          .set("report_identical", e.identical));
   }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_out << "\n";
-  return all_identical ? 0 : 1;
+  report.set("entries", entries_json);
+  return report.finish(json_out);
 }

@@ -5,7 +5,7 @@
 // summarised by the MEDIAN of its repetitions — the median is stable under
 // the occasional scheduler hiccup that poisons means and minima on shared
 // machines. Results accumulate into a Report that prints a human table and
-// writes the machine-readable BENCH_perf.json consumed by
+// writes, through bench::Report, the machine-readable BENCH_perf.json read by
 // docs/performance.md (see that file for how to read the numbers and how to
 // add a benchmark).
 //
@@ -17,15 +17,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "peak_rss.h"
+#include "report.h"
 
 namespace ecgf::perf {
 
@@ -117,15 +114,17 @@ struct Entry {
   }
 };
 
-/// Accumulates entries; renders the table and BENCH_perf.json.
+/// Accumulates entries and shape checks; renders the table and
+/// BENCH_perf.json.
 class Report {
  public:
   Report(std::string mode, std::size_t threads)
-      : mode_(std::move(mode)), threads_(threads) {}
+      : json_("ecgf-bench-perf/1", std::move(mode)), threads_(threads) {}
 
   void add(Entry entry) { entries_.push_back(std::move(entry)); }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  /// Print and record one shape check (bench/report.h).
+  void check(const std::string& claim, bool ok) { json_.check(claim, ok); }
 
   void print_table(std::ostream& os) const {
     os << std::left << std::setw(18) << "bench" << std::setw(26) << "params"
@@ -139,50 +138,36 @@ class Report {
     }
   }
 
-  /// Write the JSON document. Schema (ecgf-bench-perf/1): top-level
-  /// `schema`, `mode` ("full"|"smoke"), `threads`, `host_cores`,
-  /// `peak_rss_bytes` and `entries[]`, each
-  /// with `bench`, `params`, `n`, `naive`/`optimized` timing objects
-  /// (median_ms/min_ms/mean_ms/reps) and the derived `speedup`
-  /// (naive median / optimized median; higher is better).
-  bool write_json(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << "{\n  \"schema\": \"ecgf-bench-perf/1\",\n  \"mode\": \"" << mode_
-        << "\",\n  \"threads\": " << threads_ << ",\n  \"host_cores\": "
-        << std::max(1u, std::thread::hardware_concurrency())
-        << ",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-        << ",\n  \"entries\": [";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      out << (i == 0 ? "" : ",") << "\n    {\n      \"bench\": \"" << e.bench
-          << "\",\n      \"params\": \"" << e.params
-          << "\",\n      \"n\": " << e.n << ",\n      \"naive\": "
-          << timing_json(e.naive) << ",\n      \"optimized\": "
-          << timing_json(e.optimized) << ",\n      \"speedup\": "
-          << round3(e.speedup()) << "\n    }";
+  /// Write the JSON document and return the exit status (bench::Report).
+  /// Schema ecgf-bench-perf/1: the common report keys plus `threads` and
+  /// `entries[]`, each with `bench`, `params`, `n`, `naive`/`optimized`
+  /// timing objects (median_ms/min_ms/mean_ms/reps) and the derived
+  /// `speedup` (naive median / optimized median; higher is better).
+  int finish(const std::string& path) {
+    const auto timing_json = [](const Timing& t) {
+      return bench::Json::object()
+          .set("median_ms", bench::Json::fixed(t.median_ms, 3))
+          .set("min_ms", bench::Json::fixed(t.min_ms, 3))
+          .set("mean_ms", bench::Json::fixed(t.mean_ms, 3))
+          .set("reps", t.reps);
+    };
+    json_.set("threads", threads_);
+    bench::Json entries = bench::Json::array();
+    for (const Entry& e : entries_) {
+      entries.push(bench::Json::object()
+                       .set("bench", e.bench)
+                       .set("params", e.params)
+                       .set("n", e.n)
+                       .set("naive", timing_json(e.naive))
+                       .set("optimized", timing_json(e.optimized))
+                       .set("speedup", bench::Json::fixed(e.speedup(), 3)));
     }
-    out << "\n  ]\n}\n";
-    return out.good();
+    json_.set("entries", entries);
+    return json_.finish(path);
   }
 
  private:
-  static std::string round3(double v) {
-    std::ostringstream ss;
-    ss << std::fixed << std::setprecision(3) << v;
-    return ss.str();
-  }
-
-  static std::string timing_json(const Timing& t) {
-    std::ostringstream ss;
-    ss << "{\"median_ms\": " << round3(t.median_ms)
-       << ", \"min_ms\": " << round3(t.min_ms)
-       << ", \"mean_ms\": " << round3(t.mean_ms) << ", \"reps\": " << t.reps
-       << "}";
-    return ss.str();
-  }
-
-  std::string mode_;
+  bench::Report json_;
   std::size_t threads_;
   std::vector<Entry> entries_;
 };

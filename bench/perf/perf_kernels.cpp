@@ -110,14 +110,6 @@ std::size_t reps_for(std::size_t n, const Config& cfg) {
   return n >= 4096 ? 15 : 21;
 }
 
-int g_failures = 0;
-
-void shape_check(const std::string& claim, bool ok) {
-  if (!ok) ++g_failures;
-  std::cout << "# shape-check: " << (ok ? "PASS" : "FAIL") << " — " << claim
-            << '\n';
-}
-
 bool wants(const std::string& filter, const std::string& bench) {
   return filter.empty() || bench.find(filter) != std::string::npos;
 }
@@ -193,9 +185,9 @@ void bench_kmeans(perf::Report& report, const Config& cfg,
       util::Rng r1 = proto, r2 = proto;
       const auto a = cluster::kmeans(points, k, init, r1, naive_opts);
       const auto b = cluster::kmeans(points, k, init, r2, fast_opts);
-      shape_check("kmeans pruned == naive (n=" + std::to_string(n) +
-                      " k=" + std::to_string(k) + ")",
-                  same_result(a, b));
+      report.check("kmeans pruned == naive (n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) + ")",
+                   same_result(a, b));
     }
 
     perf::Entry e;
@@ -217,12 +209,12 @@ void bench_kmeans(perf::Report& report, const Config& cfg,
         },
         reps, cfg.warmup);
     if (cfg.timing_checks && n == 4096) {
-      shape_check("kmeans pruned >= 1.5x naive at n=4096", e.speedup() >= 1.5);
+      report.check("kmeans pruned >= 1.5x naive at n=4096", e.speedup() >= 1.5);
     }
     if (cfg.timing_checks && plane) {
       // Group bounds measured 5.5-7x here, single-bound Hamerly ~2.1x.
-      shape_check("kmeans pruned >= 4x naive at the formation shape",
-                  e.speedup() >= 4.0);
+      report.check("kmeans pruned >= 4x naive at the formation shape",
+                   e.speedup() >= 4.0);
     }
     report.add(std::move(e));
   }
@@ -257,9 +249,9 @@ void bench_distance_matrix(perf::Report& report, const Config& cfg,
           equal = false;
           break;
         }
-    shape_check("packed RTT matrix == dense+from_full (hosts=" +
-                    std::to_string(hosts) + ")",
-                equal);
+    report.check("packed RTT matrix == dense+from_full (hosts=" +
+                     std::to_string(hosts) + ")",
+                 equal);
   }
 
   perf::Entry e;
@@ -302,9 +294,9 @@ void bench_dijkstra(perf::Report& report, const Config& cfg,
       naive[i] = topology::dijkstra(topo.graph, sources[i]);
     const auto fast =
         topology::multi_source_shortest_paths(topo.graph, sources);
-    shape_check("multi-source dijkstra == per-source dijkstra (sources=" +
-                    std::to_string(sources.size()) + ")",
-                naive == fast);
+    report.check("multi-source dijkstra == per-source dijkstra (sources=" +
+                     std::to_string(sources.size()) + ")",
+                 naive == fast);
   }
 
   perf::Entry e;
@@ -327,9 +319,9 @@ void bench_dijkstra(perf::Report& report, const Config& cfg,
       reps, cfg.warmup);
   if (cfg.timing_checks) {
     // Measured 10.8-11.7x on one thread (1,152 sources, 1,168 routers).
-    shape_check("bridge-tree dijkstra >= 5x per-source dijkstra on the churn "
-                "topology",
-                e.speedup() >= 5.0);
+    report.check("bridge-tree dijkstra >= 5x per-source dijkstra on the churn "
+                 "topology",
+                 e.speedup() >= 5.0);
   }
   report.add(std::move(e));
 }
@@ -384,9 +376,9 @@ void bench_prober_fv(perf::Report& report, const Config& cfg,
           break;
         }
     }
-    shape_check("batched feature vectors == per-landmark loop (hosts=" +
-                    std::to_string(hosts) + ")",
-                equal);
+    report.check("batched feature vectors == per-landmark loop (hosts=" +
+                     std::to_string(hosts) + ")",
+                 equal);
   }
 
   perf::Entry e;
@@ -494,11 +486,11 @@ void bench_lookahead(perf::Report& report, const Config& cfg,
     std::size_t fallbacks = 0;
     const auto a = naive();
     const auto b = indexed(&fallbacks);
-    shape_check("lookahead index == full scan at every one of " +
-                    std::to_string(reshards.size()) +
-                    " reshards (caches=" + std::to_string(caches) +
-                    ", fallbacks=" + std::to_string(fallbacks) + ")",
-                a == b);
+    report.check("lookahead index == full scan at every one of " +
+                     std::to_string(reshards.size()) +
+                     " reshards (caches=" + std::to_string(caches) +
+                     ", fallbacks=" + std::to_string(fallbacks) + ")",
+                 a == b);
   }
 
   perf::Entry e;
@@ -519,8 +511,8 @@ void bench_lookahead(perf::Report& report, const Config& cfg,
       reps, cfg.warmup);
   if (cfg.timing_checks) {
     // Measured 20.6-22.9x (one pair pass against 24 scans, no fallback).
-    shape_check("lookahead index >= 10x the per-reshard scan over a run",
-                e.speedup() >= 10.0);
+    report.check("lookahead index >= 10x the per-reshard scan over a run",
+                 e.speedup() >= 10.0);
   }
   report.add(std::move(e));
 }
@@ -729,10 +721,10 @@ void bench_regroup(perf::Report& report, const Config& cfg,
     naive_ms.push_back(pass.naive_ms);
     optimized_ms.push_back(pass.optimized_ms);
   }
-  shape_check("regroup apply_groups == rebuild from scratch after every one "
-              "of " + std::to_string(checked) + " regroupings (caches=" +
-                  std::to_string(caches) + ")",
-              equal);
+  report.check("regroup apply_groups == rebuild from scratch after every one "
+               "of " + std::to_string(checked) + " regroupings (caches=" +
+                   std::to_string(caches) + ")",
+               equal);
 
   perf::Entry e;
   e.bench = "regroup";
@@ -745,9 +737,9 @@ void bench_regroup(perf::Report& report, const Config& cfg,
     // Measured 3.3-3.4x on a 4-core x86-64 host. The three steps per pass
     // that empty a group renumber every later group, so every cache of
     // those groups moves.
-    shape_check("regroup apply_groups >= 2x the rebuild from scratch over a "
-                "pass",
-                e.speedup() >= 2.0);
+    report.check("regroup apply_groups >= 2x the rebuild from scratch over a "
+                 "pass",
+                 e.speedup() >= 2.0);
   }
   report.add(std::move(e));
 }
@@ -784,10 +776,10 @@ void bench_e2e(perf::Report& report, const Config& cfg,
     {
       const auto naive = run(false);
       const auto fast = run(true);
-      shape_check(bench + " pruned == naive (n=" + std::to_string(n) + ")",
-                  naive.partition() == fast.partition() &&
-                      naive.probes_used == fast.probes_used &&
-                      naive.kmeans_iterations == fast.kmeans_iterations);
+      report.check(bench + " pruned == naive (n=" + std::to_string(n) + ")",
+                   naive.partition() == fast.partition() &&
+                       naive.probes_used == fast.probes_used &&
+                       naive.kmeans_iterations == fast.kmeans_iterations);
     }
 
     perf::Entry e;
@@ -853,12 +845,6 @@ int main(int argc, char** argv) {
   std::cout << '\n';
   report.print_table(std::cout);
 
-  const std::string out = flags.get("out");
-  if (!report.write_json(out)) {
-    std::cerr << "failed to write " << out << '\n';
-    return 2;
-  }
-  std::cout << "\nwrote " << out << " (" << report.entries().size()
-            << " entries, mode=" << mode << ")\n";
-  return g_failures == 0 ? 0 : 1;
+  std::cout << '\n';
+  return report.finish(flags.get("out"));
 }

@@ -24,11 +24,10 @@
 // --smoke shrinks the sweep for CI; --json-out=FILE sets the output path.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -171,15 +170,6 @@ Entry run_one(std::size_t n, const net::RttProvider& rtt,
   return e;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace ecgf
 
@@ -194,7 +184,7 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
   }
 
-  const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned host_cores = bench::host_cores();
   const std::vector<std::size_t> shard_counts =
       smoke ? std::vector<std::size_t>{1, 4}
             : std::vector<std::size_t>{1, 4, 16};
@@ -281,61 +271,72 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::shape_check(
+  bench::Report report("ecgf-bench-scale/2", smoke ? "smoke" : "full");
+  report.check(
       "sharded runs are bit-identical to sequential at every (N, shards)",
       identical);
-  bench::shape_check(
+  report.check(
       "every sharded entry ran on min(shards, configured_threads()) threads",
       threads_consistent);
-  double speedup_32k_16 = 0.0;
-  std::uint64_t cuts_256_16 = 0;
-  for (const Entry& e : entries) {
-    if (e.n == 32'768 && e.shards == 16) speedup_32k_16 = e.speedup;
-    if (e.n == 256 && e.shards == 16) cuts_256_16 = e.cuts;
-  }
-  if (!smoke) {
+  // The ≥3× and ≥1× targets need real cores; on a host with fewer than 4
+  // the honest speedup is ≤1 (helper threads only timeslice) and the checks
+  // report the context instead of lying.
+  const bool enough_cores = host_cores >= 4;
+  const std::string waiver =
+      enough_cores ? "" : " — target waived, threads serialise";
+  if (smoke) {
+    // The multi-threaded path has to pay for itself: no 4-shard entry may
+    // be slower than sequential.
+    double slowest_4 = std::numeric_limits<double>::infinity();
+    for (const Entry& e : entries) {
+      if (e.shards == 4) slowest_4 = std::min(slowest_4, e.speedup);
+    }
+    std::ostringstream claim;
+    claim << "slowest 4-shard smoke entry vs sequential: " << slowest_4
+          << "x (target 1x; host has " << host_cores << " core(s)" << waiver
+          << ")";
+    report.check(claim.str(), !enough_cores || slowest_4 >= 1.0);
+  } else {
+    double speedup_32k_16 = 0.0;
+    std::uint64_t cuts_256_16 = 0;
+    for (const Entry& e : entries) {
+      if (e.n == 32'768 && e.shards == 16) speedup_32k_16 = e.speedup;
+      if (e.n == 256 && e.shards == 16) cuts_256_16 = e.cuts;
+    }
     // The regression that motivated the adaptive epoch: the 256-cache
     // topology derives a ~1.7 ms lookahead, which once meant 30k+ cuts
     // over the 60 s horizon. Deterministic, so a hard gate.
     std::ostringstream cuts_claim;
     cuts_claim << "cuts at N=256, 16 shards: " << cuts_256_16
                << " (adaptive epoch keeps it under 1000)";
-    bench::shape_check(cuts_claim.str(), cuts_256_16 < 1'000);
-    // The ≥3× target needs real cores; on a 1-core CI host the honest
-    // speedup is ≤1 and the check reports the context instead of lying.
-    const bool enough_cores = host_cores >= 4;
+    report.check(cuts_claim.str(), cuts_256_16 < 1'000);
     std::ostringstream claim;
     claim << "events/sec at N=32k, 16 shards vs sequential: "
           << speedup_32k_16 << "x (target 3x; host has " << host_cores
-          << " core(s)" << (enough_cores ? "" : " — target waived, threads serialise")
-          << ")";
-    bench::shape_check(claim.str(), !enough_cores || speedup_32k_16 >= 3.0);
+          << " core(s)" << waiver << ")";
+    report.check(claim.str(), !enough_cores || speedup_32k_16 >= 3.0);
   }
 
-  std::ofstream out(json_out);
-  out << "{\n  \"schema\": \"ecgf-bench-scale/2\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"host_cores\": " << host_cores
-      << ",\n  \"configured_threads\": " << util::configured_threads()
-      << ",\n  \"peak_rss_bytes\": " << bench::peak_rss_bytes()
-      << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"n\": " << e.n << ", \"provider\": \""
-        << json_escape(e.provider) << "\", \"driver\": \""
-        << (e.shards == 0 ? "sequential" : "sharded")
-        << "\", \"shards\": " << e.shards << ", \"threads\": " << e.threads
-        << ", \"events\": " << e.events << ", \"wall_ms\": " << e.wall_ms
-        << ", \"events_per_sec\": " << e.events_per_sec
-        << ", \"speedup_vs_sequential\": " << e.speedup
-        << ", \"epoch_initial_ms\": " << e.epoch_initial_ms
-        << ", \"epoch_final_ms\": " << e.epoch_final_ms
-        << ", \"cuts\": " << e.cuts
-        << ", \"windows_dispatched\": " << e.windows
-        << ", \"merges_skipped\": " << e.merges_skipped
-        << ", \"peak_rss_bytes\": " << e.peak_rss << "}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
+  report.set("configured_threads", util::configured_threads());
+  bench::Json entries_json = bench::Json::array();
+  for (const Entry& e : entries) {
+    entries_json.push(bench::Json::object()
+                          .set("n", e.n)
+                          .set("provider", e.provider)
+                          .set("driver", e.shards == 0 ? "sequential" : "sharded")
+                          .set("shards", e.shards)
+                          .set("threads", e.threads)
+                          .set("events", e.events)
+                          .set("wall_ms", e.wall_ms)
+                          .set("events_per_sec", e.events_per_sec)
+                          .set("speedup_vs_sequential", e.speedup)
+                          .set("epoch_initial_ms", e.epoch_initial_ms)
+                          .set("epoch_final_ms", e.epoch_final_ms)
+                          .set("cuts", e.cuts)
+                          .set("windows_dispatched", e.windows)
+                          .set("merges_skipped", e.merges_skipped)
+                          .set("peak_rss_bytes", e.peak_rss));
   }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_out << "\n";
-  return identical ? 0 : 1;
+  report.set("entries", entries_json);
+  return report.finish(json_out);
 }

@@ -22,19 +22,17 @@
 //      the workload itself nonstationary): maintenance must keep average
 //      miss latency below the frozen formation-time grouping.
 //
-// Writes BENCH_workload.json (schema ecgf-bench-workload/1). check.sh
-// gates on: rss growth ≤ 1.25x across the drain points, both identity
-// bits, and the drift arm's maintained < static. --smoke shrinks the
-// sweep for CI; --json-out=FILE sets the output path.
+// Writes BENCH_workload.json (schema ecgf-bench-workload/1); its shape
+// checks gate on rss growth ≤ 1.25x across the drain points, the drain
+// volume, both identity bits, and the drift arm's maintained < static.
+// --smoke shrinks the sweep for CI; --json-out=FILE sets the output path.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -383,8 +381,6 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") smoke = true;
     if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
   }
-  const unsigned host_cores =
-      std::max(1u, std::thread::hardware_concurrency());
 
   std::cout << "Streaming workload engine bench ("
             << (smoke ? "smoke" : "full") << ", " << kDrainCaches
@@ -430,17 +426,48 @@ int main(int argc, char** argv) {
             << " ms vs maintained "
             << util::format_fixed(drift.maintained_miss_ms, 1) << " ms\n";
 
-  struct Check {
-    std::string claim;
-    bool ok;
-  };
-  std::vector<Check> checks;
+  bench::Report report("ecgf-bench-workload/1", smoke ? "smoke" : "full");
+  report.set("drain_caches", kDrainCaches);
+  report.set("profile", "lean");
+  bench::Json drain_json = bench::Json::array();
+  for (const DrainPoint& p : drain) {
+    drain_json.push(bench::Json::object()
+                        .set("target", p.target)
+                        .set("requests", p.requests)
+                        .set("wall_ms", p.wall_ms)
+                        .set("events_per_sec", p.events_per_sec)
+                        .set("peak_rss_bytes", p.peak_rss)
+                        .set("checksum", p.checksum));
+  }
+  report.set("drain", drain_json);
+  report.set("rss_growth", rss_growth);
+  report.set("identity",
+             bench::Json::object()
+                 .set("stream_vs_trace", stream_vs_trace)
+                 .set("sharded_vs_sequential", sharded_vs_sequential));
+  report.set("sim_at_scale", bench::Json::object()
+                                 .set("caches", scale.caches)
+                                 .set("shards", scale.shards)
+                                 .set("requests", scale.requests)
+                                 .set("events", scale.events)
+                                 .set("wall_ms", scale.wall_ms)
+                                 .set("events_per_sec", scale.events_per_sec)
+                                 .set("peak_rss_bytes", scale.peak_rss));
+  const bool maintained_beats_static =
+      drift.maintained_miss_ms < drift.static_miss_ms;
+  report.set("drift",
+             bench::Json::object()
+                 .set("static_miss_ms", drift.static_miss_ms)
+                 .set("maintained_miss_ms", drift.maintained_miss_ms)
+                 .set("maintained_beats_static", maintained_beats_static));
+
   {
     std::ostringstream claim;
     claim << "peak RSS flat across drain points (growth " << rss_growth
           << "x, limit 1.25x over a " << (points.back() / points.front())
           << "x request range)";
-    checks.push_back({claim.str(), rss_growth > 0.0 && rss_growth <= 1.25});
+    report.check(claim.str(), drain.size() >= 2 && rss_growth > 0.0 &&
+                                  rss_growth <= 1.25);
   }
   {
     double worst_rel = 0.0;
@@ -454,65 +481,16 @@ int main(int argc, char** argv) {
     claim << "drain volume within 5% of its expected Poisson volume "
           << "(worst deviation " << util::format_fixed(100.0 * worst_rel, 2)
           << "%)";
-    checks.push_back({claim.str(), worst_rel <= 0.05});
+    report.check(claim.str(), worst_rel <= 0.05);
   }
-  checks.push_back(
-      {"streamed sequential run bit-identical to materialised-trace run",
-       stream_vs_trace});
-  checks.push_back(
-      {"sharded streamed run bit-identical to sequential streamed run",
-       sharded_vs_sequential});
-  checks.push_back(
-      {"maintained grouping beats static under popularity churn + drift",
-       drift.maintained_miss_ms < drift.static_miss_ms});
-
-  bool all_ok = true;
-  for (const auto& c : checks) {
-    bench::shape_check(c.claim, c.ok);
-    all_ok &= c.ok;
-  }
-
-  std::ofstream out(json_out);
-  out << "{\n  \"schema\": \"ecgf-bench-workload/1\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"host_cores\": " << host_cores
-      << ",\n  \"drain_caches\": " << kDrainCaches
-      << ",\n  \"profile\": \"lean\",\n  \"drain\": [\n";
-  for (std::size_t i = 0; i < drain.size(); ++i) {
-    const DrainPoint& p = drain[i];
-    out << "    {\"target\": " << p.target << ", \"requests\": " << p.requests
-        << ", \"wall_ms\": " << p.wall_ms
-        << ", \"events_per_sec\": " << p.events_per_sec
-        << ", \"peak_rss_bytes\": " << p.peak_rss
-        << ", \"checksum\": " << p.checksum << "}"
-        << (i + 1 < drain.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"rss_growth\": " << rss_growth
-      << ",\n  \"identity\": {\"stream_vs_trace\": "
-      << (stream_vs_trace ? "true" : "false")
-      << ", \"sharded_vs_sequential\": "
-      << (sharded_vs_sequential ? "true" : "false")
-      << "},\n  \"sim_at_scale\": {\"caches\": " << scale.caches
-      << ", \"shards\": " << scale.shards
-      << ", \"requests\": " << scale.requests
-      << ", \"events\": " << scale.events << ", \"wall_ms\": " << scale.wall_ms
-      << ", \"events_per_sec\": " << scale.events_per_sec
-      << ", \"peak_rss_bytes\": " << scale.peak_rss
-      << "},\n  \"drift\": {\"static_miss_ms\": " << drift.static_miss_ms
-      << ", \"maintained_miss_ms\": " << drift.maintained_miss_ms
-      << ", \"maintained_beats_static\": "
-      << (drift.maintained_miss_ms < drift.static_miss_ms ? "true" : "false")
-      << "},\n  \"shape_checks\": [\n";
-  for (std::size_t i = 0; i < checks.size(); ++i) {
-    std::string claim = checks[i].claim;
-    for (std::size_t pos = 0;
-         (pos = claim.find('"', pos)) != std::string::npos; pos += 2) {
-      claim.insert(pos, "\\");
-    }
-    out << "    {\"claim\": \"" << claim << "\", \"pass\": "
-        << (checks[i].ok ? "true" : "false") << "}"
-        << (i + 1 < checks.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << json_out << "\n";
-  return all_ok ? 0 : 1;
+  report.check(
+      "streamed sequential run bit-identical to materialised-trace run",
+      stream_vs_trace);
+  report.check(
+      "sharded streamed run bit-identical to sequential streamed run",
+      sharded_vs_sequential);
+  report.check(
+      "maintained grouping beats static under popularity churn + drift",
+      maintained_beats_static);
+  return report.finish(json_out);
 }

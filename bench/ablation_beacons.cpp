@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_beacons/1", "full");
+  report.check(
       "beacon count shifts latency modestly (within 25% across settings)",
       *std::max_element(latencies.begin(), latencies.end()) <
           1.25 * *std::min_element(latencies.begin(), latencies.end()));
-  return 0;
+  return report.finish("");
 }

@@ -146,11 +146,12 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_clustering/1", "full");
+  report.check(
       "landmark K-means tracks full-matrix K-medoids accuracy (within 25%)",
       kmeans_gicost < kmedoids_gicost * 1.25);
-  bench::shape_check(
+  report.check(
       "server-distance seeding also helps K-medoids (scheme generalises)",
       sdsl_medoids_latency < sdsl_latency * 1.3);
-  return 0;
+  return report.finish("");
 }

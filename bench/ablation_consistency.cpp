@@ -28,12 +28,10 @@ int main(int argc, char** argv) {
                      "invalidation_msgs"});
   table.set_title("Consistency ablation");
 
-  double push_latency = 0.0;
   std::uint64_t push_stale = 0;
   {
     const auto report = core::simulate_partition(testbed, partition,
                                                  bench::paper_sim_config());
-    push_latency = report.avg_latency_ms;
     push_stale = report.stale_served;
     table.add_row({std::string("push-invalidation"), report.avg_latency_ms,
                    100.0 * report.counts.group_hit_rate(),
@@ -59,9 +57,9 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check("push invalidation never serves stale content",
-                     push_stale == 0);
-  bench::shape_check("longer TTLs serve more stale content",
-                     stale_pcts.back() > stale_pcts.front());
-  return 0;
+  bench::Report report("ecgf-ablation_consistency/1", "full");
+  report.check("push invalidation never serves stale content", push_stale == 0);
+  report.check("longer TTLs serve more stale content",
+               stale_pcts.back() > stale_pcts.front());
+  return report.finish("");
 }

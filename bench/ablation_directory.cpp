@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_directory/1", "full");
+  report.check(
       "exact beacon directory achieves the highest group hit rate",
       beacon_hit >=
           *std::max_element(summary_hits.begin(), summary_hits.end()) - 1e-9);
-  bench::shape_check(
-      "fresher summaries recover hit rate (2s beats 30s refresh)",
-      summary_hits.front() > summary_hits.back());
-  return 0;
+  report.check("fresher summaries recover hit rate (2s beats 30s refresh)",
+               summary_hits.front() > summary_hits.back());
+  return report.finish("");
 }

@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check("hit rate degrades monotonically with failures",
-                     hit_rates.front() > hit_rates.back());
-  bench::shape_check("latency rises with failures but service continues",
-                     latencies.back() > latencies.front());
-  return 0;
+  bench::Report report("ecgf-ablation_failures/1", "full");
+  report.check("hit rate degrades monotonically with failures",
+               hit_rates.front() > hit_rates.back());
+  report.check("latency rises with failures but service continues",
+               latencies.back() > latencies.front());
+  return report.finish("");
 }

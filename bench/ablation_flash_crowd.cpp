@@ -60,10 +60,11 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_flash_crowd/1", "full");
+  report.check(
       "cooperative groups cut origin load per request under the flash crowd",
       grouped_origin_per_req < isolated_origin_per_req * 0.8);
-  bench::shape_check("cooperative groups keep latency lower during the burst",
-                     grouped_latency < isolated_latency);
-  return 0;
+  report.check("cooperative groups keep latency lower during the burst",
+               grouped_latency < isolated_latency);
+  return report.finish("");
 }

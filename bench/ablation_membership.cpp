@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_membership/1", "full");
+  report.check(
       "incremental re-admission stays within 25% of full re-formation "
       "quality at zero probing cost",
       incremental_close);
-  return 0;
+  return report.finish("");
 }

@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_placement/1", "full");
+  report.check(
       "replicating peer fetches raises local hit rate vs never-replicate",
       always_local > never_local);
-  bench::shape_check(
-      "score-gated placement at least matches never-replicate latency",
-      gated_latency <= never_latency * 1.02);
-  return 0;
+  report.check("score-gated placement at least matches never-replicate latency",
+               gated_latency <= never_latency * 1.02);
+  return report.finish("");
 }

@@ -57,9 +57,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_plset_m/1", "full");
+  report.check(
       "larger M yields better-dispersed landmarks (min pairwise distance up)",
       dispersion.back() > dispersion.front());
-  bench::shape_check("larger M costs more probes", probes.back() > probes.front());
-  return 0;
+  report.check("larger M costs more probes", probes.back() > probes.front());
+  return report.finish("");
 }

@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_positions/1", "full");
+  report.check(
       "simple feature vectors stay competitive with both coordinate systems",
       fv_competitive);
-  return 0;
+  return report.finish("");
 }

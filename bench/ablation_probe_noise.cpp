@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check("heavy jitter degrades clustering accuracy",
-                     one_probe.back() > one_probe.front());
-  bench::shape_check(
-      "multi-probe averaging recovers accuracy under heavy jitter",
-      five_probes.back() < one_probe.back());
-  return 0;
+  bench::Report report("ecgf-ablation_probe_noise/1", "full");
+  report.check("heavy jitter degrades clustering accuracy",
+               one_probe.back() > one_probe.front());
+  report.check("multi-probe averaging recovers accuracy under heavy jitter",
+               five_probes.back() < one_probe.back());
+  return report.finish("");
 }

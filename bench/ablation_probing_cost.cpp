@@ -101,11 +101,11 @@ int main(int argc, char** argv) {
             << "% quality difference vs L=25. (The gap grows with N: O(N^2) "
                "full-matrix probes vs O(N*L) for landmarks.)\n";
 
-  bench::shape_check(
-      "landmarks (L=10) cut probing cost by an order of magnitude",
-      probe_ratio_10 > 10.0);
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_probing_cost/1", "full");
+  report.check("landmarks (L=10) cut probing cost by an order of magnitude",
+               probe_ratio_10 > 10.0);
+  report.check(
       "landmark clustering (L=25) stays within 25% of full-matrix quality",
       quality_gap < 0.25);
-  return 0;
+  return report.finish("");
 }

@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
-      "some positive theta beats theta=0 (server-distance bias helps)",
-      best_latency < theta0_latency);
-  return 0;
+  bench::Report report("ecgf-ablation_theta/1", "full");
+  report.check("some positive theta beats theta=0 (server-distance bias helps)",
+               best_latency < theta0_latency);
+  return report.finish("");
 }

@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < table.rows(); ++r) {
     worst_gap = std::max(worst_gap, std::abs(table.number_at(r, 3)));
   }
-  bench::shape_check(
+  bench::Report report("ecgf-ablation_topology/1", "full");
+  report.check(
       "low server-distance heterogeneity => SDSL degenerates to SL (within 5%)",
       cv < 0.35 && worst_gap < 5.0);
-  return 0;
+  return report.finish("");
 }

@@ -4,7 +4,9 @@
 //
 // Every fig bench prints (a) an aligned table of the series the paper
 // plots, (b) the same rows as CSV, and (c) `# shape-check:` lines asserting
-// the paper's qualitative findings on this run's numbers.
+// the paper's qualitative findings on this run's numbers, through one
+// bench::Report whose finish() is the bench's exit status: nonzero when a
+// check failed.
 #pragma once
 
 #include <iostream>

@@ -66,10 +66,10 @@ int main(int argc, char** argv) {
       ++pairs;
     }
   }
-  bench::shape_check("engines rank the K settings identically",
-                     agreements == pairs);
-  bench::shape_check(
+  bench::Report report("ecgf-engine_comparison/1", "full");
+  report.check("engines rank the K settings identically", agreements == pairs);
+  report.check(
       "fewer, larger groups shield the origin (queue delay drops with size)",
       origin_queue_series.front() < origin_queue_series.back());
-  return 0;
+  return report.finish("");
 }

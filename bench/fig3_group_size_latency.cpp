@@ -82,13 +82,13 @@ int main(int argc, char** argv) {
   const std::size_t near_min = argmin([](const Row& r) { return r.near; });
   const std::size_t far_min = argmin([](const Row& r) { return r.far; });
 
-  bench::shape_check("latency (all caches) is U-shaped in group size",
-                     all_min > 0 && all_min + 1 < rows.size());
-  bench::shape_check(
+  bench::Report report("ecgf-fig3_group_size_latency/1", "full");
+  report.check("latency (all caches) is U-shaped in group size",
+               all_min > 0 && all_min + 1 < rows.size());
+  report.check(
       "far caches prefer larger groups than near caches (min at larger size)",
       rows[far_min].size >= rows[near_min].size);
-  bench::shape_check(
-      "near caches' latency curve sits below far caches' curve",
-      rows[near_min].near < rows[far_min].far);
-  return 0;
+  report.check("near caches' latency curve sits below far caches' curve",
+               rows[near_min].near < rows[far_min].far);
+  return report.finish("");
 }

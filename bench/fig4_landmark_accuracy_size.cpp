@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-fig4_landmark_accuracy_size/1", "full");
+  report.check(
       "greedy (SL) < random < mindist in avg GICost at every network size",
       ordered_everywhere);
-  return 0;
+  return report.finish("");
 }

@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check("greedy (SL) yields the best accuracy at every K",
-                     greedy_best_everywhere);
-  bench::shape_check("greedy GICost decreases as groups get smaller (K up)",
-                     decreasing);
-  return 0;
+  bench::Report report("ecgf-fig5_landmark_accuracy_groups/1", "full");
+  report.check("greedy (SL) yields the best accuracy at every K",
+               greedy_best_everywhere);
+  report.check("greedy GICost decreases as groups get smaller (K up)",
+               decreasing);
+  return report.finish("");
 }

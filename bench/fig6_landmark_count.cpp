@@ -80,24 +80,24 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check("greedy (SL) beats MinDist at every landmark count",
-                     beats_mindist);
+  bench::Report report("ecgf-fig6_landmark_count/1", "full");
+  report.check("greedy (SL) beats MinDist at every landmark count",
+               beats_mindist);
   // In this substrate random landmark sets are already well dispersed, so
   // greedy's edge over random shrinks into measurement noise as L grows
   // (the selectors converge — the paper's "beyond 25 is minor" remark).
   // Assert parity everywhere plus a clear win at L = 10, where selection
   // quality matters most.
-  bench::shape_check(
-      "greedy matches or beats random everywhere and wins at L=10",
-      near_random && greedy_series[0] < random_series[0]);
-  bench::shape_check("more landmarks improve greedy accuracy (10 → 25)",
-                     greedy_series[2] <= greedy_series[0]);
+  report.check("greedy matches or beats random everywhere and wins at L=10",
+               near_random && greedy_series[0] < random_series[0]);
+  report.check("more landmarks improve greedy accuracy (10 → 25)",
+               greedy_series[2] <= greedy_series[0]);
   const double step_10_25 =
       std::abs(greedy_series[0] - greedy_series[2]);
   const double step_25_30 =
       std::abs(greedy_series[2] - greedy_series[3]);
-  bench::shape_check("improvement beyond 25 landmarks is minor",
-                     step_25_30 <= std::max(step_10_25 * 0.5, 1e-9) ||
-                         step_10_25 == 0.0);
-  return 0;
+  report.check("improvement beyond 25 landmarks is minor",
+               step_25_30 <= std::max(step_10_25 * 0.5, 1e-9) ||
+                   step_10_25 == 0.0);
+  return report.finish("");
 }

@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
-  bench::shape_check(
+  bench::Report report("ecgf-fig7_position_representation/1", "full");
+  report.check(
       "feature vectors and GNP yield similar accuracy (within ~15% everywhere)",
       max_gap_pct < 15.0);
-  return 0;
+  return report.finish("");
 }

@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
+  bench::Report report("ecgf-fig8_sdsl_network_size/1", "full");
   if (comparator == "sdsl") {
-    bench::shape_check(
+    report.check(
         "SDSL outperforms SL across network sizes and group-count settings",
         wins * 4 >= count * 3);  // at least 3/4 of configurations
   } else {
@@ -100,5 +101,5 @@ int main(int argc, char** argv) {
     std::cout << "# comparator " << comp_label << " beat SL in " << wins
               << "/" << count << " configurations\n";
   }
-  return 0;
+  return report.finish("");
 }

@@ -81,13 +81,14 @@ int main(int argc, char** argv) {
   }
   bench::print_table(table);
 
+  bench::Report report("ecgf-fig9_sdsl_groups/1", "full");
   if (comparator == "sdsl") {
-    bench::shape_check("SDSL yields lower latency than SL at most K values",
-                       sdsl_wins * 2 > count);
+    report.check("SDSL yields lower latency than SL at most K values",
+                 sdsl_wins * 2 > count);
   } else {
     // A non-default comparator carries no paper claim — report the score.
     std::cout << "# comparator " << comp_label << " beat SL in " << sdsl_wins
               << "/" << count << " K values\n";
   }
-  return 0;
+  return report.finish("");
 }

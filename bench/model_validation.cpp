@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
   };
   const std::size_t mi = argmin(model_series);
   const std::size_t si = argmin(sim_series);
-  bench::shape_check("model predicts an interior optimal group size",
-                     mi > 0 && mi + 1 < model_series.size());
-  bench::shape_check(
-      "model optimum within one sweep step of the simulated optimum",
-      (mi > si ? mi - si : si - mi) <= 1);
+  bench::Report report("ecgf-model_validation/1", "full");
+  report.check("model predicts an interior optimal group size",
+               mi > 0 && mi + 1 < model_series.size());
+  report.check("model optimum within one sweep step of the simulated optimum",
+               (mi > si ? mi - si : si - mi) <= 1);
 
   // Near vs far optimal sizes (the SDSL rule), model-side.
   const std::vector<double> candidates{2, 5, 10, 20, 50, 100, 250, 500};
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   std::cout << "model optimal size: nearest cache (" << near_rtt
             << " ms) -> " << s_near << ", farthest cache (" << far_rtt
             << " ms) -> " << s_far << "\n";
-  bench::shape_check("model: far caches prefer groups at least as large",
-                     s_far >= s_near);
-  return 0;
+  report.check("model: far caches prefer groups at least as large",
+               s_far >= s_near);
+  return report.finish("");
 }

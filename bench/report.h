@@ -4,9 +4,10 @@
 // A Report owns the keys every report carries — `schema`, `mode` ("full",
 // "smoke" or "skipped"), `host_cores`, `peak_rss_bytes` (read when the file
 // is written) and `shape_checks` — plus an insertion-ordered body that the
-// bench fills with its own keys. finish() writes the file and returns the
-// bench's exit status, nonzero exactly when a check failed. A non-finite
-// number in the body is written as null and fails the report.
+// bench fills with its own keys. finish() writes the file (none for an
+// empty path) and returns the bench's exit status, nonzero exactly when a
+// check failed: every bench ends with it, so a failed claim fails the run.
+// A non-finite number in the body is written as null and fails the report.
 // bench/check_report.cmake is the one CI gate over the written files.
 //
 // Dependency-free (std and getrusage only) so the perf harness can use it
@@ -51,13 +52,6 @@ inline std::uint64_t peak_rss_bytes() {
 
 inline unsigned host_cores() {
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Emit one shape-check line; `ok` is this run's verdict on a qualitative
-/// claim from the paper.
-inline void shape_check(const std::string& claim, bool ok) {
-  std::cout << "# shape-check: " << (ok ? "PASS" : "FAIL") << " — " << claim
-            << '\n';
 }
 
 /// A JSON value: bool, integer, number, string, array or object. Object
@@ -196,9 +190,11 @@ class Report {
     body_.set(std::move(key), std::move(value));
   }
 
-  /// Print this run's verdict on `claim` and record it; returns `ok`.
+  /// Print this run's verdict on `claim`, a qualitative claim from the
+  /// paper, as a `# shape-check:` line and record it; returns `ok`.
   bool check(const std::string& claim, bool ok) {
-    shape_check(claim, ok);
+    std::cout << "# shape-check: " << (ok ? "PASS" : "FAIL") << " — " << claim
+              << '\n';
     checks_.push(Json::object().set("claim", claim).set("pass", ok));
     failed_ |= !ok;
     return ok;

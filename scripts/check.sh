@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Full verification: lint the docs, configure, build, run every test (the
-# bench smokes among them, each through bench/check_report.cmake), run
-# every bench, and fail if any test fails or any bench fails a shape
-# check. Optionally re-runs chosen suites under AddressSanitizer and
-# ThreadSanitizer when the toolchain supports them (skip with
-# ECGF_SKIP_ASAN=1 / ECGF_SKIP_TSAN=1).
+# Full verification: lint the docs, configure and build with warnings as
+# errors, run every test (the bench smokes among them), run every bench,
+# and fail if any test fails or any bench exits nonzero (a bench exits
+# nonzero exactly when one of its shape checks fails). Optionally re-runs
+# chosen suites under AddressSanitizer and ThreadSanitizer when the
+# toolchain supports them (skip with ECGF_SKIP_ASAN=1 / ECGF_SKIP_TSAN=1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,7 +91,7 @@ if command -v ninja >/dev/null 2>&1 && [[ ! -f build/CMakeCache.txt ]]; then
   generator=(-G Ninja)
 fi
 
-cmake -B build "${generator[@]}"
+cmake -B build "${generator[@]}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
@@ -99,12 +99,7 @@ fail=0
 for b in build/bench/*; do
   # Makefiles build trees keep CMake droppings next to the binaries.
   [[ -f "$b" && -x "$b" ]] || continue
-  out="$("$b")" || fail=1
-  echo "$out"
-  if grep -q "shape-check: FAIL" <<<"$out"; then
-    echo "!! shape-check failure in $b" >&2
-    fail=1
-  fi
+  "$b" || { echo "!! $b exited nonzero" >&2; fail=1; }
 done
 
 # The deterministic bench smokes (churn, net, bakeoff, workload, live,
@@ -124,11 +119,11 @@ rm -f "$scale_json"
 # live_member OS processes rendezvous over a loopback socket, then the
 # SAME binary replays the RunSpec through the sequential simulator
 # (--oracle) and the two reports and the two event traces must compare
-# byte for byte. This is the
-# distributed-mode determinism contract (docs/live_mode.md); the python
-# gate also asserts the run actually did work (requests served, group
-# hits observed) so an empty-but-equal pair can't pass. Sandboxes that
-# forbid loopback sockets are detected with --probe-sockets and skipped;
+# byte for byte. This is the distributed-mode determinism contract
+# (docs/live_mode.md); the report gate, scripts/check_live_report.cmake,
+# also asserts the run actually did work (requests served, group hits
+# observed) so an empty-but-equal pair can't pass. Sandboxes that forbid
+# loopback sockets are detected with --probe-sockets and skipped;
 # ECGF_SKIP_LIVE=1 skips explicitly.
 echo "== live smoke (live_coordinator + 4 live_member processes) =="
 if [[ "${ECGF_SKIP_LIVE:-0}" == "1" ]]; then
@@ -163,24 +158,10 @@ else
     echo "!! live smoke: a process exited nonzero" >&2
     sed -e 's/^/  coordinator: /' "$live_dir/coordinator.log" >&2 || true
     fail=1
-  elif command -v python3 >/dev/null 2>&1; then
-    python3 - "$live_dir/live.jsonl" "$live_dir/oracle.jsonl" <<'PYGATE' \
-      || { echo "!! live smoke gate failed" >&2; fail=1; }
-import json, sys
-live_bytes = open(sys.argv[1], "rb").read()
-oracle_bytes = open(sys.argv[2], "rb").read()
-assert live_bytes == oracle_bytes, \
-    "live report diverged from the sequential oracle"
-report = json.loads(live_bytes)
-assert report["requests_processed"] > 0, report
-assert report["group_hits"] > 0, report
-print("live smoke gate OK (report byte-identical to the oracle, "
-      f"{report['requests_processed']} requests, "
-      f"{report['group_hits']} group hits)")
-PYGATE
   else
-    cmp -s "$live_dir/live.jsonl" "$live_dir/oracle.jsonl" \
-      || { echo "!! live report diverged from the oracle" >&2; fail=1; }
+    cmake -DLIVE="$live_dir/live.jsonl" -DORACLE="$live_dir/oracle.jsonl" \
+      -P scripts/check_live_report.cmake \
+      || { echo "!! live smoke gate failed" >&2; fail=1; }
   fi
   if [[ "$live_ok" == "1" ]]; then
     if [[ -s "$live_dir/live.trace" ]] &&

@@ -1,6 +1,7 @@
 // bench::Report (bench/report.h) and the report gate
 // (bench/check_report.cmake): escaping checked by CMake's own JSON parser,
-// non-finite numbers, exit status, and the gate's waiver and schema rules.
+// non-finite numbers, exit status, the `# shape-check:` line bytes, and the
+// gate's waiver and schema rules.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -112,15 +113,32 @@ TEST_F(BenchReport, NonFiniteNumberFailsTheReportAndIsNotWrittenAsNan) {
 }
 
 TEST_F(BenchReport, OneFailingCheckMakesTheExitStatusNonzero) {
+  // Run in an empty directory: finish("") prints nothing and writes no file.
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  const std::filesystem::path run_dir = scratch("run");
+  std::filesystem::create_directories(run_dir);
+  std::filesystem::current_path(run_dir);
+  ::testing::internal::CaptureStdout();
   Report passing("ecgf-test/1", "full");
   passing.check("holds", true);
-  EXPECT_EQ(passing.finish(""), 0);
-
+  const int passing_status = passing.finish("");
   Report failing("ecgf-test/1", "full");
   failing.check("holds", true);
   EXPECT_FALSE(failing.check("does not hold", false));
   failing.check("holds too", true);
-  EXPECT_EQ(failing.finish(""), 1);
+  const int failing_status = failing.finish("");
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  std::filesystem::current_path(cwd);
+
+  EXPECT_EQ(passing_status, 0);
+  EXPECT_EQ(failing_status, 1);
+  const std::string dash = "\xE2\x80\x94";  // U+2014 EM DASH in UTF-8
+  EXPECT_EQ(out, "# shape-check: PASS " + dash + " holds\n" +
+                     "# shape-check: PASS " + dash + " holds\n" +
+                     "# shape-check: FAIL " + dash + " does not hold\n" +
+                     "# shape-check: PASS " + dash + " holds too\n");
+  EXPECT_TRUE(std::filesystem::is_empty(run_dir));
+
   const std::string path = scratch("failing.json");
   EXPECT_EQ(failing.finish(path), 1);
   EXPECT_NE(gate(path, schema_source()), 0);

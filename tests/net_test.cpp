@@ -187,7 +187,9 @@ TEST(DriftingRtt, PermutationMovesOnlySelectedCachesNeverTheServer) {
     EXPECT_NE(drift.permuted(c), c);  // every selected cache really moves
   }
   for (HostId h = 0; h < 21; ++h) {
-    if (!selected[h]) EXPECT_EQ(drift.permuted(h), h);
+    if (!selected[h]) {
+      EXPECT_EQ(drift.permuted(h), h);
+    }
   }
   // π is a bijection.
   std::vector<bool> hit(21, false);

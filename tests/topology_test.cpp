@@ -193,8 +193,8 @@ TEST(TransitStub, HierarchicalLatencies) {
 
 TEST(ShortestPaths, MatchesHandComputedGraph) {
   //     1 --2-- 3
-  //    /         \
-  //   0 ----10--- 4      plus 0-1 (1), 3-4 (2)
+  //    /         \      plus 0-1 (1), 3-4 (2)
+  //   0 ----10--- 4
   Graph g(5);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 3, 2.0);
@@ -265,7 +265,9 @@ TEST(Attachment, RttMatrixSymmetricZeroDiagonal) {
     EXPECT_DOUBLE_EQ(rtt[i][i], 0.0);
     for (std::size_t j = 0; j < 20; ++j) {
       EXPECT_DOUBLE_EQ(rtt[i][j], rtt[j][i]);
-      if (i != j) EXPECT_GT(rtt[i][j], 0.0);
+      if (i != j) {
+        EXPECT_GT(rtt[i][j], 0.0);
+      }
     }
   }
 }

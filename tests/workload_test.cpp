@@ -34,7 +34,9 @@ TEST(Zipf, PmfNormalisedAndMonotone) {
   double total = 0.0;
   for (std::size_t r = 0; r < 100; ++r) {
     total += zipf.pmf(r);
-    if (r > 0) EXPECT_LE(zipf.pmf(r), zipf.pmf(r - 1));
+    if (r > 0) {
+      EXPECT_LE(zipf.pmf(r), zipf.pmf(r - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }

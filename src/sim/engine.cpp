@@ -264,8 +264,8 @@ void ShardableEngine::apply_groups(
     }
     for (cache::DocId d : docs) directories_[to]->add_holder(d, holder);
   }
-  // A rebuild registers caches in index order, and request_beacon breaks
-  // RTT ties between holders by list position.
+  // A rebuild registers caches in index order, and on_request's holder
+  // scan breaks RTT ties between holders by list position.
   for (auto& dir : directories_) dir->sort_holders();
   ++regroupings_;
 }
@@ -371,274 +371,147 @@ void ShardableEngine::on_complete(const Completion& c, EffectSink& sink) {
 Completion ShardableEngine::on_request(std::uint64_t request_index,
                                        const workload::Request& request,
                                        SimTime now, EffectSink& sink) {
-  if (config_.directory == DirectoryMode::kSummary) {
-    return request_summary(request_index, request, now, sink);
-  }
-  if (config_.consistency == ConsistencyMode::kTtl) {
-    return request_ttl(request_index, request, now, sink);
-  }
-  return request_beacon(request_index, request, now, sink);
-}
-
-Completion ShardableEngine::request_beacon(std::uint64_t index,
-                                           const workload::Request& request,
-                                           SimTime now, EffectSink& sink) {
   const cache::CacheIndex i = request.cache;
   const cache::DocId d = request.doc;
-  cache::EdgeCache& local = *caches_[i];
-  cache::GroupDirectory& dir = *directories_[group_of_[i]];
   const cache::Version version = origin_->version(d);
   const std::uint64_t size = catalog_.info(d).size_bytes;
   sink.emit(obs::TraceEvent::request(now, i, d));
 
   Completion c;
-  c.request_index = index;
+  c.request_index = request_index;
   c.cache = i;
   c.doc = d;
 
   // A crashed edge cache serves nothing: its clients fall back to the
-  // origin directly (no beacon consultation, no insert).
+  // origin directly (no directory consultation, no insert).
   if (down_[i]) {
     const double gen = origin_generation(d, sink);
     c.latency_ms = config_.cost.origin_fetch_ms(
         0.0, rtt_.rtt_ms_at(i, server_, now), gen, size);
-    c.how = Resolution::kOriginFetch;
     c.time = now + c.latency_ms;
     return c;
   }
 
-  const cache::LookupOutcome outcome = local.lookup(d, version, now);
+  // One protocol, three variants. TTL consistency changes the freshness
+  // test and stores what it fetched whatever the origin did meanwhile;
+  // summary directories replace the beacon hop with local summary probes.
+  const bool ttl = config_.consistency == ConsistencyMode::kTtl;
+  const bool summary = config_.directory == DirectoryMode::kSummary;
+  const auto fresh_at = [&](const cache::EdgeCache& holder) {
+    return ttl ? holder.has_unexpired(d, config_.ttl_ms, now)
+               : holder.has_fresh(d, version);
+  };
+
+  cache::EdgeCache& local = *caches_[i];
+  const cache::LookupOutcome outcome =
+      ttl ? local.lookup_ttl(d, config_.ttl_ms, now)
+          : local.lookup(d, version, now);
   if (outcome == cache::LookupOutcome::kHitFresh) {
+    // Served within TTL — possibly an outdated copy (the TTL trade-off).
+    if (ttl && local.resident_version(d) != version) ++sink.tally.stale_served;
     c.latency_ms = config_.cost.local_hit_ms();
     c.how = Resolution::kLocalHit;
     c.time = now + c.latency_ms;
     return c;
   }
+  c.version = version;
+  c.store = ttl ? StoreMode::kTtl : StoreMode::kIfVersionCurrent;
 
-  // Local miss (or stale copy): consult the document's beacon point.
-  double failover_penalty_ms = 0.0;
-  cache::CacheIndex beacon = i;  // provisional; overwritten below
-  const bool beacon_alive =
-      find_beacon(dir, i, d, now, beacon, failover_penalty_ms, sink);
-  if (!beacon_alive) {
-    // Every beacon in the group is down: straight to the origin.
-    const double gen = origin_generation(d, sink);
-    c.latency_ms = failover_penalty_ms +
-                   config_.cost.origin_fetch_ms(
-                       0.0, rtt_.rtt_ms_at(i, server_, now), gen, size);
-    c.latency_ms += charge_origin_transfer(i, now, size, sink);
-    c.how = Resolution::kOriginFetch;
-    c.time = now + c.latency_ms;
-    return c;
-  }
-  const double rtt_ib = failover_penalty_ms +
-                        (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now));
-  sink.emit(
-      obs::TraceEvent::dir_lookup(now, i, beacon, d, dir.holders(d).size()));
-  if (beacon != i) {
-    sink.rtt_sample(i, beacon, rtt_.rtt_ms_at(i, beacon, now), now);
-  }
-
-  // Cheapest fresh holder registered in the group directory.
+  // Peer discovery finds the cheapest fresh holder (i when none) at
+  // `holder_rtt` from the requester. `lookup_ms` is the directory hop the
+  // cost model charges; `detour_ms` is time lost before discovery gave up
+  // or succeeded, added in front of the fetch.
   cache::CacheIndex holder = i;
-  double best_rtt = std::numeric_limits<double>::infinity();
-  for (cache::CacheIndex h : dir.holders(d)) {
-    if (h == i || down_[h]) continue;
-    if (!caches_[h]->has_fresh(d, version)) continue;
-    const double r = rtt_.rtt_ms_at(i, h, now);
-    if (r < best_rtt) {
-      best_rtt = r;
-      holder = h;
+  cache::CacheIndex beacon = i;
+  double holder_rtt = std::numeric_limits<double>::infinity();
+  double lookup_ms = 0.0;
+  double detour_ms = 0.0;
+  if (summary) {
+    // Consult peers' (possibly stale) summaries locally — no lookup hop.
+    // Try the nearest summary-positive peers; each false positive (never
+    // stored, evicted since the last refresh, or invalidated) costs a
+    // wasted round trip.
+    std::size_t attempts = 0;
+    for (cache::CacheIndex peer : sorted_peers_[i]) {
+      if (attempts >= config_.summary.max_probe_attempts) break;
+      if (down_[peer] || !summaries_[peer].maybe_contains(d)) continue;
+      ++attempts;
+      if (fresh_at(*caches_[peer])) {
+        holder = peer;
+        holder_rtt = rtt_.rtt_ms_at(i, peer, now);
+        break;
+      }
+      detour_ms += rtt_.rtt_ms_at(i, peer, now);
+      ++sink.tally.wasted_summary_probes;
+    }
+  } else {
+    const cache::GroupDirectory& dir = *directories_[group_of_[i]];
+    double penalty_ms = 0.0;
+    if (!find_beacon(dir, i, d, now, beacon, penalty_ms, sink)) {
+      // Every beacon in the group is down: straight to the origin. The
+      // modes have always differed here, and byte identity keeps both:
+      // TTL folds the timeouts into the fetch and stores the copy, push
+      // adds them in front and stores nothing.
+      if (ttl) {
+        lookup_ms = penalty_ms;
+      } else {
+        detour_ms = penalty_ms;
+        c.store = StoreMode::kNoStore;
+      }
+    } else {
+      lookup_ms =
+          penalty_ms + (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now));
+      sink.emit(obs::TraceEvent::dir_lookup(now, i, beacon, d,
+                                            dir.holders(d).size()));
+      // TTL misses have never fed the control hook's samples.
+      if (beacon != i && !ttl) {
+        sink.rtt_sample(i, beacon, rtt_.rtt_ms_at(i, beacon, now), now);
+      }
+      // Ties between holders go to the earlier one in the list.
+      for (cache::CacheIndex h : dir.holders(d)) {
+        if (h == i || down_[h] || !fresh_at(*caches_[h])) continue;
+        const double r = rtt_.rtt_ms_at(i, h, now);
+        if (r < holder_rtt) {
+          holder_rtt = r;
+          holder = h;
+        }
+      }
     }
   }
 
   if (holder != i) {
-    const double rtt_bh =
-        beacon == holder ? 0.0 : rtt_.rtt_ms_at(beacon, holder, now);
-    c.latency_ms = config_.cost.group_hit_ms(rtt_ib, rtt_bh, best_rtt, size);
     c.how = Resolution::kGroupHit;
+    if (summary) {
+      // A direct fetch: request (½RTT) + document back (½RTT + transfer),
+      // after any wasted probes.
+      c.latency_ms = config_.cost.local_hit_ms() + detour_ms + holder_rtt +
+                     config_.cost.transfer_ms(size);
+    } else {
+      const double rtt_bh =
+          beacon == holder ? 0.0 : rtt_.rtt_ms_at(beacon, holder, now);
+      c.latency_ms =
+          config_.cost.group_hit_ms(lookup_ms, rtt_bh, holder_rtt, size);
+    }
     // Congestion on the holder→requester transfer inflates both the
     // request's latency and the RTT the control hook observes — a
     // congested peer looks farther away to the drift monitor, exactly as
     // a passive measurement would see it.
     const double net_extra = charge_group_transfer(holder, i, now, size, sink);
     c.latency_ms += net_extra;
-    sink.rtt_sample(i, holder, best_rtt + net_extra, now);
+    if (!ttl) sink.rtt_sample(i, holder, holder_rtt + net_extra, now);
+    if (ttl) {
+      // The holder's unexpired copy may itself be outdated.
+      c.version = caches_[holder]->resident_version(d);
+      if (c.version != version) ++sink.tally.stale_served;
+    }
     caches_[holder]->touch(d, now);
   } else {
     const double gen = origin_generation(d, sink);
-    c.latency_ms = config_.cost.origin_fetch_ms(
-        rtt_ib, rtt_.rtt_ms_at(i, server_, now), gen, size);
+    c.latency_ms = detour_ms + config_.cost.origin_fetch_ms(
+                                   lookup_ms, rtt_.rtt_ms_at(i, server_, now),
+                                   gen, size);
     c.latency_ms += charge_origin_transfer(i, now, size, sink);
-    c.how = Resolution::kOriginFetch;
   }
-
-  c.version = version;
-  c.store = StoreMode::kIfVersionCurrent;
-  c.time = now + c.latency_ms;
-  return c;
-}
-
-Completion ShardableEngine::request_summary(std::uint64_t index,
-                                            const workload::Request& request,
-                                            SimTime now, EffectSink& sink) {
-  const cache::CacheIndex i = request.cache;
-  const cache::DocId d = request.doc;
-  cache::EdgeCache& local = *caches_[i];
-  const cache::Version version = origin_->version(d);
-  const std::uint64_t size = catalog_.info(d).size_bytes;
-  sink.emit(obs::TraceEvent::request(now, i, d));
-
-  Completion c;
-  c.request_index = index;
-  c.cache = i;
-  c.doc = d;
-
-  if (down_[i]) {
-    const double gen = origin_generation(d, sink);
-    c.latency_ms = config_.cost.origin_fetch_ms(
-        0.0, rtt_.rtt_ms_at(i, server_, now), gen, size);
-    c.how = Resolution::kOriginFetch;
-    c.time = now + c.latency_ms;
-    return c;
-  }
-
-  const auto outcome = local.lookup(d, version, now);
-  if (outcome == cache::LookupOutcome::kHitFresh) {
-    c.latency_ms = config_.cost.local_hit_ms();
-    c.how = Resolution::kLocalHit;
-    c.time = now + c.latency_ms;
-    return c;
-  }
-
-  // Consult peers' (possibly stale) summaries locally — no lookup hop.
-  // Try the nearest summary-positive peers; each false positive costs a
-  // wasted round trip.
-  double wasted_ms = 0.0;
-  cache::CacheIndex holder = i;
-  std::size_t attempts = 0;
-  for (cache::CacheIndex peer : sorted_peers_[i]) {
-    if (attempts >= config_.summary.max_probe_attempts) break;
-    if (down_[peer]) continue;
-    if (!summaries_[peer].maybe_contains(d)) continue;
-    ++attempts;
-    if (caches_[peer]->has_fresh(d, version)) {
-      holder = peer;
-      break;
-    }
-    // False positive (never stored, evicted since the last refresh, or
-    // invalidated): one wasted round trip.
-    wasted_ms += rtt_.rtt_ms_at(i, peer, now);
-    ++sink.tally.wasted_summary_probes;
-  }
-
-  if (holder != i) {
-    // Direct fetch: request (½RTT) + document back (½RTT + transfer).
-    c.latency_ms = config_.cost.local_hit_ms() + wasted_ms +
-                   rtt_.rtt_ms_at(i, holder, now) +
-                   config_.cost.transfer_ms(size);
-    c.latency_ms += charge_group_transfer(holder, i, now, size, sink);
-    c.how = Resolution::kGroupHit;
-    caches_[holder]->touch(d, now);
-  } else {
-    const double gen = origin_generation(d, sink);
-    c.latency_ms = wasted_ms + config_.cost.origin_fetch_ms(
-                                   0.0, rtt_.rtt_ms_at(i, server_, now), gen,
-                                   size);
-    c.latency_ms += charge_origin_transfer(i, now, size, sink);
-    c.how = Resolution::kOriginFetch;
-  }
-
-  c.version = version;
-  c.store = StoreMode::kIfVersionCurrent;
-  c.time = now + c.latency_ms;
-  return c;
-}
-
-Completion ShardableEngine::request_ttl(std::uint64_t index,
-                                        const workload::Request& request,
-                                        SimTime now, EffectSink& sink) {
-  const cache::CacheIndex i = request.cache;
-  const cache::DocId d = request.doc;
-  cache::EdgeCache& local = *caches_[i];
-  cache::GroupDirectory& dir = *directories_[group_of_[i]];
-  const double ttl = config_.ttl_ms;
-  const std::uint64_t size = catalog_.info(d).size_bytes;
-  sink.emit(obs::TraceEvent::request(now, i, d));
-
-  Completion c;
-  c.request_index = index;
-  c.cache = i;
-  c.doc = d;
-
-  if (down_[i]) {
-    const double gen = origin_generation(d, sink);
-    c.latency_ms = config_.cost.origin_fetch_ms(
-        0.0, rtt_.rtt_ms_at(i, server_, now), gen, size);
-    c.how = Resolution::kOriginFetch;
-    c.time = now + c.latency_ms;
-    return c;
-  }
-
-  const cache::LookupOutcome outcome = local.lookup_ttl(d, ttl, now);
-  if (outcome == cache::LookupOutcome::kHitFresh) {
-    // Served within TTL — possibly an outdated copy (the TTL trade-off).
-    if (local.resident_version(d) != origin_->version(d)) {
-      ++sink.tally.stale_served;
-    }
-    c.latency_ms = config_.cost.local_hit_ms();
-    c.how = Resolution::kLocalHit;
-    c.time = now + c.latency_ms;
-    return c;
-  }
-
-  double failover_penalty_ms = 0.0;
-  cache::CacheIndex beacon = i;
-  const bool beacon_alive =
-      find_beacon(dir, i, d, now, beacon, failover_penalty_ms, sink);
-
-  // Cheapest unexpired holder; its copy may itself be outdated.
-  cache::CacheIndex holder = i;
-  double best_rtt = std::numeric_limits<double>::infinity();
-  if (beacon_alive) {
-    sink.emit(
-        obs::TraceEvent::dir_lookup(now, i, beacon, d, dir.holders(d).size()));
-    for (cache::CacheIndex h : dir.holders(d)) {
-      if (h == i || down_[h]) continue;
-      if (!caches_[h]->has_unexpired(d, ttl, now)) continue;
-      const double r = rtt_.rtt_ms_at(i, h, now);
-      if (r < best_rtt) {
-        best_rtt = r;
-        holder = h;
-      }
-    }
-  }
-
-  if (beacon_alive && holder != i) {
-    const double rtt_ib = failover_penalty_ms +
-                          (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now));
-    const double rtt_bh =
-        beacon == holder ? 0.0 : rtt_.rtt_ms_at(beacon, holder, now);
-    c.latency_ms = config_.cost.group_hit_ms(rtt_ib, rtt_bh, best_rtt, size);
-    c.latency_ms += charge_group_transfer(holder, i, now, size, sink);
-    c.how = Resolution::kGroupHit;
-    c.version = caches_[holder]->resident_version(d);
-    if (c.version != origin_->version(d)) ++sink.tally.stale_served;
-    caches_[holder]->touch(d, now);
-  } else {
-    const double rtt_ib =
-        beacon_alive ? failover_penalty_ms +
-                           (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now))
-                     : failover_penalty_ms;
-    const double gen = origin_generation(d, sink);
-    c.latency_ms = config_.cost.origin_fetch_ms(
-        rtt_ib, rtt_.rtt_ms_at(i, server_, now), gen, size);
-    c.latency_ms += charge_origin_transfer(i, now, size, sink);
-    c.how = Resolution::kOriginFetch;
-    c.version = origin_->version(d);
-  }
-
-  c.store = StoreMode::kTtl;
   c.time = now + c.latency_ms;
   return c;
 }

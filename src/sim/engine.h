@@ -207,14 +207,6 @@ class ShardableEngine {
                                    const EngineTally& tally) const;
 
  private:
-  Completion request_beacon(std::uint64_t index,
-                            const workload::Request& request, SimTime now,
-                            EffectSink& sink);
-  Completion request_ttl(std::uint64_t index, const workload::Request& request,
-                         SimTime now, EffectSink& sink);
-  Completion request_summary(std::uint64_t index,
-                             const workload::Request& request, SimTime now,
-                             EffectSink& sink);
   /// Shared beacon lookup with crash failover. Returns the live beacon (or
   /// none) and accumulates timeout penalties into `penalty_ms`.
   bool find_beacon(const cache::GroupDirectory& dir, cache::CacheIndex i,

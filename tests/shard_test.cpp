@@ -38,6 +38,7 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "fnv1a.h"
 #include "reference_sim.h"
 
 namespace ecgf::shard {
@@ -1072,21 +1073,13 @@ TEST(ShardedSimChurn, CutScheduleMatchesThePerReshardScan) {
   EXPECT_GE(seq.reshaping, 5u);  // the plan really changed, many times
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // The tie-heavy churning run's report and trace bytes, pinned to the
 // values of a full directory rebuild at every regrouping. RTTs in 40 ms
 // steps make holder ties common, and request_beacon breaks them by holder
 // list position, so a cut-over that leaves any list out of ascending order
 // changes which peer serves, and with it the bytes.
 TEST(ShardedSimChurn, TieHeavyRunMatchesTheRebuildHashes) {
+  using testing_util::fnv1a;
   util::set_trace_enabled(true);
   constexpr std::uint64_t kReportFnv = 0x8d58a99b27adc70fULL;
   constexpr std::uint64_t kTraceFnv = 0x6a2f025b998e060eULL;

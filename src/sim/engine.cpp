@@ -463,8 +463,7 @@ Completion ShardableEngine::on_request(std::uint64_t request_index,
           penalty_ms + (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now));
       sink.emit(obs::TraceEvent::dir_lookup(now, i, beacon, d,
                                             dir.holders(d).size()));
-      // TTL misses have never fed the control hook's samples.
-      if (beacon != i && !ttl) {
+      if (beacon != i) {
         sink.rtt_sample(i, beacon, rtt_.rtt_ms_at(i, beacon, now), now);
       }
       // Ties between holders go to the earlier one in the list.
@@ -498,7 +497,7 @@ Completion ShardableEngine::on_request(std::uint64_t request_index,
     // a passive measurement would see it.
     const double net_extra = charge_group_transfer(holder, i, now, size, sink);
     c.latency_ms += net_extra;
-    if (!ttl) sink.rtt_sample(i, holder, holder_rtt + net_extra, now);
+    sink.rtt_sample(i, holder, holder_rtt + net_extra, now);
     if (ttl) {
       // The holder's unexpired copy may itself be outdated.
       c.version = caches_[holder]->resident_version(d);

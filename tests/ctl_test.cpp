@@ -386,18 +386,23 @@ struct RecordingHook final : sim::ControlHook {
   }
 };
 
-TEST(SimulatorChurn, HookSeesLeaveJoinAndTicksInOrder) {
+/// Cache 3 leaves at 2.5 s and rejoins at 7.5 s of drifty_trace(), with
+/// `hook` ticking every second; returns the report and whether cache 3 is
+/// departed at the end.
+std::pair<sim::SimulationReport, bool> run_recorded_churn(
+    RecordingHook& hook, sim::ConsistencyMode consistency) {
   net::MatrixRttProvider provider(clustered_matrix());
   std::vector<cache::DocumentInfo> docs(30);
   for (auto& d : docs) d = {1'000, 20.0, 0.0};
   const cache::Catalog catalog(std::move(docs));
 
-  RecordingHook hook;
   sim::SimulationConfig config;
   config.groups = {{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}};
   config.cache_capacity_bytes = 20'000;
   config.policy = cache::PolicyKind::kLru;
   config.warmup_fraction = 0.0;
+  config.consistency = consistency;
+  config.ttl_ms = 60'000.0;  // outlives the 10 s trace: nothing expires
   config.control_hook = &hook;
   config.control_interval_ms = 1'000.0;
   config.membership_events = {
@@ -407,6 +412,13 @@ TEST(SimulatorChurn, HookSeesLeaveJoinAndTicksInOrder) {
 
   sim::Simulator sim(catalog, provider, kServer, config);
   const auto report = sim.run(drifty_trace());
+  return {report, sim.is_departed(3)};
+}
+
+TEST(SimulatorChurn, HookSeesLeaveJoinAndTicksInOrder) {
+  RecordingHook hook;
+  const auto [report, departed_at_end] = run_recorded_churn(
+      hook, sim::ConsistencyMode::kPushInvalidation);
 
   ASSERT_EQ(hook.leaves.size(), 1u);
   EXPECT_EQ(hook.leaves[0], (std::pair<std::uint32_t, double>{3, 2'500.0}));
@@ -415,11 +427,27 @@ TEST(SimulatorChurn, HookSeesLeaveJoinAndTicksInOrder) {
   EXPECT_EQ(hook.ticks, 10u);
   EXPECT_GT(hook.samples, 0u);  // cooperative traffic produced samples
   EXPECT_TRUE(hook.saw_departed_during_gap);
-  EXPECT_FALSE(sim.is_departed(3));  // rejoined by the end
+  EXPECT_FALSE(departed_at_end);  // rejoined by the end
   EXPECT_EQ(report.leaves_applied, 1u);
   EXPECT_EQ(report.joins_applied, 1u);
   // No hook called apply_groups → the grouping never changed.
   EXPECT_EQ(report.regroupings, 0u);
+}
+
+TEST(SimulatorChurn, TtlMissesFeedTheHookLikePushMisses) {
+  // drifty_trace() has no updates and no copy expires, so TTL resolves
+  // every request as push invalidation does, and its cooperative misses
+  // must hand the control hook the same RTT samples.
+  RecordingHook push;
+  RecordingHook ttl;
+  const auto push_run =
+      run_recorded_churn(push, sim::ConsistencyMode::kPushInvalidation);
+  const auto ttl_run = run_recorded_churn(ttl, sim::ConsistencyMode::kTtl);
+  EXPECT_EQ(ttl_run.first.raw_counts.group_hits,
+            push_run.first.raw_counts.group_hits);
+  EXPECT_EQ(ttl_run.first.stale_served, 0u);
+  EXPECT_GT(push.samples, 0u);
+  EXPECT_EQ(ttl.samples, push.samples);
 }
 
 struct RepartitionHook final : sim::ControlHook {

@@ -233,11 +233,11 @@ constexpr PinnedBytes kPinned[kSeeds] = {
     {0x9e7a7cec8bcfb5c3ULL, 0x7459a520f0aa5a5fULL},  //  2 ctl ties
     {0x54accffd8c577be3ULL, 0xda4c2fe96bb31ea9ULL},  //  3
     {0x388de67542c7aa30ULL, 0x86656447a54dc8bcULL},  //  4 summary ties
-    {0x4ad58fb8b5570a24ULL, 0x8ded44b0aa07eb7fULL},  //  5 ttl ctl ties
+    {0x26292ef1cf8b464bULL, 0xc3178043b5085084ULL},  //  5 ttl ctl ties
     {0x633096814ca07812ULL, 0x3cd4967fb17eade8ULL},  //  6
     {0x0d9f3c8546550747ULL, 0x6ea53646e2429d43ULL},  //  7
     {0xf8c03c42d0a68369ULL, 0x0c1625a4d09f157dULL},  //  8 ctl ties
-    {0x81e574f5461148cbULL, 0xe6c410d48f9133bfULL},  //  9 ttl ctl netmodel ties
+    {0x02e45ba153eeb0d0ULL, 0x0e797453f51c9ab6ULL},  //  9 ttl ctl netmodel ties
     {0x798376c6ef2d251cULL, 0x7c502cededf01cf7ULL},  // 10 ties
     {0xf13e8fbcdd856578ULL, 0x87e3d88d469d50d1ULL},  // 11 netmodel ties
     {0x8141da833ee1f05dULL, 0x2ceb676ec9552f8eULL},  // 12 ttl ctl netmodel ties
@@ -246,7 +246,7 @@ constexpr PinnedBytes kPinned[kSeeds] = {
     {0xc1f273a45620dd96ULL, 0x028c878adf0e0438ULL},  // 15 ties
     {0x4ddf39bd43ab1f0bULL, 0x1716bdda37be15f2ULL},  // 16 ctl
     {0xef5ba9e9f308c004ULL, 0x985172256ceb8482ULL},  // 17
-    {0xc04f4c9855f39107ULL, 0x0f07650e6ae78564ULL},  // 18 ttl ctl
+    {0xce61650e7509876cULL, 0x663c3cd3ee97c80cULL},  // 18 ttl ctl
     {0x441520cba2b20c6dULL, 0x3ac8e366a88c808fULL},  // 19
     {0x7b2d99c9b6ba2339ULL, 0x26add93c23fb1295ULL},  // 20 ties
     {0x60595103cfedf5c1ULL, 0x34cc3ef1032c8d99ULL},  // 21 summary
@@ -257,7 +257,7 @@ constexpr PinnedBytes kPinned[kSeeds] = {
     {0x2559427c951a5bf0ULL, 0x284e3c5b70279f58ULL},  // 26
     {0x878467b1a66bc9adULL, 0xc4e2e42e51b15533ULL},  // 27 ttl
     {0x578eb6d8fb2c0741ULL, 0x5df039444509f619ULL},  // 28 ttl netmodel
-    {0x3361ae795455e8a8ULL, 0x3aab8f88756c4c9fULL},  // 29 ttl ctl
+    {0x56a662a983973de5ULL, 0x73ca7e4c19b95fc2ULL},  // 29 ttl ctl
     {0xca61289025e014d6ULL, 0xfbe9cc0cc7f7b9dcULL},  // 30 netmodel
     {0x1c48458ace0f6d09ULL, 0xd6d502077d155b8eULL},  // 31 ttl ties
     {0xdaa91d72b43fa1b8ULL, 0x96acf298dda74b2cULL},  // 32 netmodel

@@ -20,6 +20,7 @@
 #include "obs/session.h"
 #include "schemes/registry.h"
 #include "sim/message_engine.h"
+#include "util/expect.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -173,9 +174,18 @@ int main(int argc, char** argv) {
     sim::MessageEngineConfig mec;
     mec.base = config;
     mec.base.groups = partition;
-    const auto full = sim::run_message_level(
-        testbed.catalog, testbed.network.rtt(), testbed.network.server(), mec,
-        testbed.trace);
+    sim::MessageEngineReport full;
+    try {
+      full = sim::run_message_level(testbed.catalog, testbed.network.rtt(),
+                                    testbed.network.server(), mec,
+                                    testbed.trace);
+    } catch (const util::ContractViolation& e) {
+      // The message engine rejects the config fields it does not model
+      // (TTL, failures, placement, summaries; docs/protocol.md).
+      std::cerr << "replay: --engine=message cannot run these flags: "
+                << e.what() << "\n";
+      return 2;
+    }
     report = full.base;
     std::cout << "message engine: " << full.messages_sent << " messages, "
               << util::format_fixed(full.mean_origin_queue_delay_ms, 3)

@@ -95,12 +95,26 @@ cmake -B build "${generator[@]}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# Each bench runs in a fresh scratch directory: the JSON benches write
+# their default report (BENCH_*.json) to the working directory, and a check
+# run must not rewrite the checked-in reports. The tree's git status must
+# be the same after the loop as before it.
 fail=0
+root="$PWD"
+tree_status() { git status --porcelain 2>/dev/null || true; }
+status_before="$(tree_status)"
 for b in build/bench/*; do
   # Makefiles build trees keep CMake droppings next to the binaries.
   [[ -f "$b" && -x "$b" ]] || continue
-  "$b" || { echo "!! $b exited nonzero" >&2; fail=1; }
+  work="$(mktemp -d)"
+  (cd "$work" && "$root/$b") || { echo "!! $b exited nonzero" >&2; fail=1; }
+  rm -rf "$work"
 done
+if [[ "$(tree_status)" != "$status_before" ]]; then
+  echo "!! the bench loop changed the working tree:" >&2
+  diff <(echo "$status_before") <(tree_status) | sed 's/^/   /' >&2 || true
+  fail=1
+fi
 
 # The deterministic bench smokes (churn, net, bakeoff, workload, live,
 # perf) ran in ctest above as BenchSmoke.*, each through the one report

@@ -4,7 +4,8 @@
 // point; the beacon knows the holders and forwards the request.
 //
 // The directory here tracks state only; the *latency* of consulting it is
-// charged by the simulation protocol (sim/protocol.h).
+// charged by the simulation engine (sim::ShardableEngine::on_request in
+// sim/engine.h).
 #pragma once
 
 #include <cstdint>

@@ -448,10 +448,10 @@ Completion ShardableEngine::on_request(std::uint64_t request_index,
     const cache::GroupDirectory& dir = *directories_[group_of_[i]];
     double penalty_ms = 0.0;
     if (!find_beacon(dir, i, d, now, beacon, penalty_ms, sink)) {
-      // Every beacon in the group is down: straight to the origin. The
-      // modes have always differed here, and byte identity keeps both:
-      // TTL folds the timeouts into the fetch and stores the copy, push
-      // adds them in front and stores nothing.
+      // Every beacon in the group is down: straight to the origin. TTL
+      // folds the timeouts into the fetch and stores the copy; push adds
+      // them in front and stores nothing. Both are kept as they are so
+      // that reports stay byte-identical.
       if (ttl) {
         lookup_ms = penalty_ms;
       } else {

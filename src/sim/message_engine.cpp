@@ -85,8 +85,18 @@ class MessageLevelSimulator {
       : catalog_(catalog), rtt_(rtt), server_(server), config_(config) {
     const SimulationConfig& base = config_.base;
     ECGF_EXPECTS(!base.groups.empty());
+    // The message level models push-invalidated beacon directories over
+    // a static, failure-free membership with score-gated placement. Every
+    // config field outside that is rejected rather than silently ignored.
     ECGF_EXPECTS(base.consistency == ConsistencyMode::kPushInvalidation);
     ECGF_EXPECTS(base.failures.empty());
+    ECGF_EXPECTS(base.remote_placement == RemotePlacement::kScoreGated);
+    ECGF_EXPECTS(base.directory == DirectoryMode::kBeacon);
+    ECGF_EXPECTS(base.membership_events.empty());
+    ECGF_EXPECTS(base.control_hook == nullptr);
+    ECGF_EXPECTS(base.control_interval_ms == 0.0);
+    ECGF_EXPECTS(base.netmodel == nullptr);  // CongestionExchange models links
+    ECGF_EXPECTS(!base.trace.active());
     ECGF_EXPECTS(config_.cache_service_ms >= 0.0);
     ECGF_EXPECTS(config_.origin_service_ms >= 0.0);
 

@@ -386,11 +386,15 @@ struct RecordingHook final : sim::ControlHook {
   }
 };
 
+struct RecordedChurn {
+  sim::SimulationReport report;
+  bool departed_at_end = false;  ///< cache 3's state after the run
+};
+
 /// Cache 3 leaves at 2.5 s and rejoins at 7.5 s of drifty_trace(), with
-/// `hook` ticking every second; returns the report and whether cache 3 is
-/// departed at the end.
-std::pair<sim::SimulationReport, bool> run_recorded_churn(
-    RecordingHook& hook, sim::ConsistencyMode consistency) {
+/// `hook` ticking every second.
+RecordedChurn run_recorded_churn(RecordingHook& hook,
+                                 sim::ConsistencyMode consistency) {
   net::MatrixRttProvider provider(clustered_matrix());
   std::vector<cache::DocumentInfo> docs(30);
   for (auto& d : docs) d = {1'000, 20.0, 0.0};
@@ -443,9 +447,9 @@ TEST(SimulatorChurn, TtlMissesFeedTheHookLikePushMisses) {
   const auto push_run =
       run_recorded_churn(push, sim::ConsistencyMode::kPushInvalidation);
   const auto ttl_run = run_recorded_churn(ttl, sim::ConsistencyMode::kTtl);
-  EXPECT_EQ(ttl_run.first.raw_counts.group_hits,
-            push_run.first.raw_counts.group_hits);
-  EXPECT_EQ(ttl_run.first.stale_served, 0u);
+  EXPECT_EQ(ttl_run.report.raw_counts.group_hits,
+            push_run.report.raw_counts.group_hits);
+  EXPECT_EQ(ttl_run.report.stale_served, 0u);
   EXPECT_GT(push.samples, 0u);
   EXPECT_EQ(ttl.samples, push.samples);
 }

@@ -3,9 +3,17 @@
 // engine on aggregate statistics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <sstream>
+
 #include "core/experiment.h"
 #include "net/distance_matrix.h"
+#include "obs/trace.h"
+#include "sim/control.h"
 #include "sim/message_engine.h"
+#include "sim/netmodel/link_model.h"
+#include "util/flags.h"
 
 namespace ecgf::sim {
 namespace {
@@ -128,15 +136,43 @@ TEST(MessageEngine, RejectsUnsupportedConfigurations) {
   workload::Trace trace;
   trace.duration_ms = 1'000.0;
 
-  auto ttl = tiny_config({{0, 1}});
-  ttl.base.consistency = ConsistencyMode::kTtl;
-  EXPECT_THROW(run_message_level(catalog, provider, 2, ttl, trace),
-               util::ContractViolation);
+  // Every field the message level does not model must be rejected, not
+  // silently ignored.
+  const auto rejects = [&](const char* field,
+                           const std::function<void(SimulationConfig&)>& set) {
+    auto config = tiny_config({{0, 1}});
+    set(config.base);
+    EXPECT_THROW(run_message_level(catalog, provider, 2, config, trace),
+                 util::ContractViolation)
+        << field;
+  };
+  rejects("consistency",
+          [](SimulationConfig& c) { c.consistency = ConsistencyMode::kTtl; });
+  rejects("failures", [](SimulationConfig& c) { c.failures = {{0, 10.0}}; });
+  rejects("remote_placement", [](SimulationConfig& c) {
+    c.remote_placement = RemotePlacement::kAlways;
+  });
+  rejects("directory", [](SimulationConfig& c) {
+    c.directory = DirectoryMode::kSummary;
+  });
+  rejects("membership_events", [](SimulationConfig& c) {
+    c.membership_events = {{MembershipChange::Kind::kLeave, 0, 10.0}};
+  });
+  ControlHook hook;
+  rejects("control_hook",
+          [&](SimulationConfig& c) { c.control_hook = &hook; });
+  rejects("control_interval_ms",
+          [](SimulationConfig& c) { c.control_interval_ms = 100.0; });
+  AccessLinkModel links(LinkModelConfig{}, 3);
+  rejects("netmodel", [&](SimulationConfig& c) { c.netmodel = &links; });
 
-  auto failing = tiny_config({{0, 1}});
-  failing.base.failures = {{0, 10.0}};
-  EXPECT_THROW(run_message_level(catalog, provider, 2, failing, trace),
-               util::ContractViolation);
+  std::ostringstream trace_out;
+  obs::Tracer tracer(std::make_unique<obs::JsonlTraceSink>(trace_out));
+  util::set_trace_enabled(true);
+  rejects("trace", [&](SimulationConfig& c) {
+    c.trace = obs::TraceContext::root(&tracer, 1);
+  });
+  util::set_trace_enabled(false);
 }
 
 TEST(MessageEngine, EveryMessagePassesThroughTheExchangeSeam) {

@@ -1075,9 +1075,9 @@ TEST(ShardedSimChurn, CutScheduleMatchesThePerReshardScan) {
 
 // The tie-heavy churning run's report and trace bytes, pinned to the
 // values of a full directory rebuild at every regrouping. RTTs in 40 ms
-// steps make holder ties common, and request_beacon breaks them by holder
-// list position, so a cut-over that leaves any list out of ascending order
-// changes which peer serves, and with it the bytes.
+// steps make holder ties common, and on_request's holder scan breaks them
+// by list position, so a cut-over that leaves any list out of ascending
+// order changes which peer serves, and with it the bytes.
 TEST(ShardedSimChurn, TieHeavyRunMatchesTheRebuildHashes) {
   using testing_util::fnv1a;
   util::set_trace_enabled(true);

@@ -410,8 +410,8 @@ TEST(Simulator, TraceEventsConserveRequests) {
 // ----------------------------------------------------------------------
 // ShardableEngine::apply_groups: the incremental cut-over must leave every
 // directory exactly as a rebuild from scratch would — members, beacons,
-// registration counts and every holder list in order (request_beacon
-// breaks RTT ties between holders by list position).
+// registration counts and every holder list in order (on_request's holder
+// scan breaks RTT ties between holders by list position).
 // ----------------------------------------------------------------------
 
 struct DiscardSink final : EffectSink {

@@ -7,7 +7,7 @@
 //     ASan shard of scripts/check.sh).
 //   * Handshake — the coordinator's accept state machine turns a bad
 //     first frame into a rejection without poisoning the run; a member
-//     rejects a nonsensical kWelcome.
+//     rejects a nonsensical kWelcome and every malformed kBarrier.
 //   * End to end — coordinator + member THREADS (same binary, the
 //     processes of examples/ use the identical classes) over loopback:
 //     the merged live report and trace bytes must equal the sequential
@@ -19,6 +19,7 @@
 // sandbox forbids loopback sockets or ECGF_SKIP_LIVE=1 is set.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -546,8 +547,12 @@ TEST_F(LiveEndToEnd, TtlConsistencyMatchesOracle) {
   RunSpec spec = small_spec();
   spec.consistency = 1;  // TTL
   spec.ttl_ms = 1'000.0;
-  const PairRun pair = run_pair(spec, 2, /*traced=*/false);
+  const PairRun pair = run_pair(spec, 2, /*traced=*/true);
   EXPECT_EQ(pair.live_report, pair.oracle_report);
+  // Updates push nothing under TTL, so neither driver may log an
+  // invalidation event.
+  ASSERT_FALSE(pair.live_trace.empty());
+  EXPECT_EQ(pair.live_trace, pair.oracle_trace);
 }
 
 TEST_F(LiveEndToEnd, MemberKillDegradesIntoGracefulLeaves) {
@@ -649,6 +654,114 @@ TEST(Handshake, MemberRejectsNonsensicalWelcome) {
   conn->send_frame(MsgType::kWelcome, w.bytes());
   member.join();
   EXPECT_TRUE(threw);
+}
+
+/// What a member threw when it was handed a bad barrier.
+struct MemberFailure {
+  std::string type;  ///< "LiveError", "WireError", "other" or "none"
+  std::string what;
+};
+
+/// A fake coordinator (a bare Listener speaking the wire codecs) takes one
+/// member through Welcome, Start and Formation on small_spec() — which
+/// scripts no failures and no membership changes — then sends `barrier`.
+MemberFailure member_rejects_barrier(const BarrierMsg& barrier) {
+  Listener listener(0);
+  const std::uint16_t port = listener.port();
+  MemberFailure out{"none", ""};
+  std::thread member([port, &out] {
+    MemberOptions mo;
+    mo.port = port;
+    mo.io_timeout_ms = 10'000.0;
+    try {
+      MemberProcess(mo).run();
+    } catch (const LiveError& e) {
+      out = {"LiveError", e.what()};
+    } catch (const WireError& e) {
+      out = {"WireError", e.what()};
+    } catch (const std::exception& e) {
+      out = {"other", e.what()};
+    }
+  });
+  // Every step is bounded by a timeout; an early return closes the
+  // connection, which ends the member too.
+  [&] {
+    std::optional<Socket> conn = listener.accept(10'000.0);
+    ASSERT_TRUE(conn.has_value());
+    ASSERT_EQ(conn->recv_frame(10'000.0).type, MsgType::kRegister);
+    Writer welcome;
+    welcome.u32(0);
+    welcome.u32(1);
+    conn->send_frame(MsgType::kWelcome, welcome.bytes());
+    const RunSpec spec = small_spec();
+    conn->send_frame(MsgType::kStart, encode_run_spec(spec));
+    ASSERT_EQ(conn->recv_frame(10'000.0).type, MsgType::kStartAck);
+    conn->send_frame(MsgType::kFormation,
+                     encode_groups({{0, 1, 2, 3}, {4, 5, 6, 7},
+                                    {8, 9, 10, 11}}));
+    ASSERT_EQ(conn->recv_frame(10'000.0).type, MsgType::kFormationAck);
+    conn->send_frame(MsgType::kBarrier, encode_barrier(barrier));
+    // The member gives up without a reply; its close ends this read.
+    try {
+      conn->recv_frame(10'000.0);
+    } catch (const std::exception&) {
+    }
+  }();
+  member.join();
+  return out;
+}
+
+TEST(Handshake, MemberRejectsMalformedBarriers) {
+  if (skip_live_requested()) GTEST_SKIP() << "ECGF_SKIP_LIVE=1";
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets";
+
+  const auto scripted = [](sim::EventClass klass, std::uint64_t index) {
+    BarrierMsg b;
+    b.time_ms = 500.0;
+    b.klass = static_cast<std::uint8_t>(klass);
+    b.index = index;
+    return b;
+  };
+  const auto synthetic = [](std::uint32_t cache, std::uint8_t kind) {
+    BarrierMsg b;
+    b.time_ms = 500.0;
+    b.klass = static_cast<std::uint8_t>(sim::EventClass::kMembership);
+    b.synth = 1;
+    b.cache = cache;
+    b.kind = kind;
+    return b;
+  };
+  struct Case {
+    BarrierMsg barrier;
+    std::string type;
+    std::string defect;
+  };
+  const std::vector<Case> cases = {
+      {scripted(sim::EventClass::kFailure, 0), "LiveError",
+       "kBarrier failure index out of range"},
+      {scripted(sim::EventClass::kUpdate, 1'000'000'000), "LiveError",
+       "kBarrier update index out of range"},
+      {scripted(sim::EventClass::kMembership, 0), "LiveError",
+       "kBarrier membership index out of range"},
+      // The frame decoder refuses a membership kind past kJoin before the
+      // member's own check sees it.
+      {synthetic(0, 2), "WireError", "bad membership kind"},
+      {synthetic(12, 0), "LiveError",
+       "synthetic kBarrier membership change malformed"},
+      {scripted(sim::EventClass::kControlTick, 0), "LiveError",
+       "unsupported kBarrier class 4"},
+  };
+  for (const Case& c : cases) {
+    const auto start = std::chrono::steady_clock::now();
+    const MemberFailure failure = member_rejects_barrier(c.barrier);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(failure.type, c.type) << c.defect << ": " << failure.what;
+    EXPECT_NE(failure.what.find(c.defect), std::string::npos)
+        << failure.what;
+    EXPECT_LT(seconds, 10.0) << c.defect;
+  }
 }
 
 }  // namespace

@@ -526,13 +526,6 @@ void bench_lookahead(perf::Report& report, const Config& cfg,
 // that changed group. Optimised: apply_groups. Between regroupings an
 // untimed burst of requests reorders holder lists, as serve traffic does.
 
-struct DiscardSink final : sim::EffectSink {
-  void emit(const obs::TraceEvent&) override {}
-  void record(cache::CacheIndex, double, sim::Resolution,
-              sim::SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
-};
-
 using Partition = std::vector<std::vector<cache::CacheIndex>>;
 
 std::vector<cache::GroupDirectory> rebuild_directories(
@@ -649,7 +642,7 @@ RegroupPass regroup_pass(const net::RttProvider& rtt,
   sim::ShardableEngine engine(catalog, rtt,
                               static_cast<net::HostId>(caches), config);
 
-  DiscardSink sink;
+  sim::DiscardSink sink;
   sim::SimTime now = 0.0;
   std::uint64_t index = 0;
   const auto serve = [&](std::size_t requests) {

@@ -259,43 +259,28 @@ void Coordinator::execute_barrier(const shard::Barrier& b,
     });
   }
 
-  // Apply on the local replica. Failure / membership events emit their
-  // trace through the real sink (exactly once, coordinator-side); update
-  // events are captured and re-emitted with the global holder count.
-  const auto& config = engine_->config();
-  switch (b.klass) {
-    case sim::EventClass::kFailure:
-      engine_->on_failure(config.failures[b.index].cache, t, *coord_sink_);
-      break;
-    case sim::EventClass::kMembership: {
-      const sim::MembershipChange change = config.membership_events[b.index];
-      if (change.kind == sim::MembershipChange::Kind::kLeave) {
-        engine_->on_leave(change.cache, t, *coord_sink_);
-      } else {
-        std::uint32_t group = 0;
-        engine_->on_join(change.cache, t, *coord_sink_, &group);
-      }
-      break;
+  // Apply on the local replica. Failure and membership events emit their
+  // trace through the real sink (exactly once, coordinator-side). An
+  // update's invalidation event is the one whose payload is distributed:
+  // each replica saw only its own groups' holders, so the local event is
+  // discarded and re-emitted with the sum across all of them — the
+  // sequential run's figure. Under TTL an update logs nothing.
+  const bool update = b.klass == sim::EventClass::kUpdate;
+  const auto& updates = world_->workload->updates();
+  sim::DiscardSink discard;
+  sim::EffectSink& sink =
+      update ? static_cast<sim::EffectSink&>(discard) : *coord_sink_;
+  const sim::BarrierOutcome out =
+      engine_->on_barrier(b.klass, b.index, t, updates, sink);
+  if (update) {
+    holders_sum += out.holders_dropped;
+    delta_sum += out.invalidations;
+    if (engine_->config().consistency ==
+        sim::ConsistencyMode::kPushInvalidation) {
+      trace_.emit(obs::TraceEvent::invalidation(
+          t, updates[b.index].doc, static_cast<std::size_t>(holders_sum)));
     }
-    case sim::EventClass::kUpdate: {
-      const auto& updates = world_->workload->updates();
-      const std::uint64_t before = engine_->invalidations_pushed();
-      CaptureSink cap;
-      engine_->on_update(updates[b.index], cap);
-      delta_sum += engine_->invalidations_pushed() - before;
-      if (cap.captured) {
-        holders_sum += static_cast<std::uint64_t>(cap.event.b);
-        // The one event whose payload is distributed: each replica only
-        // saw its own groups' holders, so the sequential run's figure is
-        // the sum across all of them.
-        trace_.emit(obs::TraceEvent::invalidation(
-            t, updates[b.index].doc, static_cast<std::size_t>(holders_sum)));
-      }
-      invalidations_total_ += delta_sum;
-      break;
-    }
-    default:
-      ECGF_EXPECTS(false);
+    invalidations_total_ += delta_sum;
   }
   ++result.barriers;
 }

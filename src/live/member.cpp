@@ -181,67 +181,50 @@ int MemberProcess::serve(Socket& sock) {
 }
 
 BarrierAck MemberProcess::apply_barrier(const BarrierMsg& b) {
-  BarrierAck ack;
-  const auto& config = engine_->config();
-  const double t = b.time_ms;
-  switch (static_cast<sim::EventClass>(b.klass)) {
-    case sim::EventClass::kFailure: {
-      if (b.synth != 0 || b.index >= config.failures.size()) {
-        throw LiveError("kBarrier failure index out of range");
-      }
-      CaptureSink discard;
-      engine_->on_failure(config.failures[b.index].cache, t, discard);
-      ack.applied = 1;
-      break;
+  // The coordinator owns every effect; this replica only keeps its state in
+  // step.
+  sim::DiscardSink discard;
+  const auto klass = static_cast<sim::EventClass>(b.klass);
+  if (klass == sim::EventClass::kMembership && b.synth != 0) {
+    // A member-death departure exists in no script: cache and kind come
+    // inline.
+    if (b.kind > 1 || b.cache >= engine_->cache_count()) {
+      throw LiveError("synthetic kBarrier membership change malformed");
     }
-    case sim::EventClass::kMembership: {
-      sim::MembershipChange change;
-      if (b.synth != 0) {
-        if (b.kind > 1 || b.cache >= engine_->cache_count()) {
-          throw LiveError("synthetic kBarrier membership change malformed");
-        }
-        change.kind = static_cast<sim::MembershipChange::Kind>(b.kind);
-        change.cache = b.cache;
-        change.time_ms = t;
-      } else {
-        if (b.index >= config.membership_events.size()) {
-          throw LiveError("kBarrier membership index out of range");
-        }
-        change = config.membership_events[b.index];
-      }
-      CaptureSink discard;
-      if (change.kind == sim::MembershipChange::Kind::kLeave) {
-        ack.applied = engine_->on_leave(change.cache, t, discard) ? 1 : 0;
-      } else {
-        std::uint32_t group = 0;
-        ack.applied =
-            engine_->on_join(change.cache, t, discard, &group) ? 1 : 0;
-      }
-      break;
+    if (b.kind == static_cast<std::uint8_t>(
+                      sim::MembershipChange::Kind::kLeave)) {
+      engine_->on_leave(b.cache, b.time_ms, discard);
+    } else {
+      engine_->on_join(b.cache, b.time_ms, discard, nullptr);
     }
-    case sim::EventClass::kUpdate: {
-      const auto& updates = world_->workload->updates();
-      if (b.synth != 0 || b.index >= updates.size()) {
-        throw LiveError("kBarrier update index out of range");
-      }
-      // Only this member's owned groups carry registrations and resident
-      // copies (window events never ran for the others), so the captured
-      // holder count and the invalidation delta are this member's share
-      // of the global figures — the coordinator sums the acks.
-      const std::uint64_t before = engine_->invalidations_pushed();
-      CaptureSink cap;
-      engine_->on_update(updates[b.index], cap);
-      ack.applied = 1;
-      ack.invalidations_delta = engine_->invalidations_pushed() - before;
-      if (cap.captured) {
-        ack.holders_dropped = static_cast<std::uint64_t>(cap.event.b);
-      }
-      break;
-    }
-    default:
-      throw LiveError("unsupported kBarrier class " +
-                      std::to_string(static_cast<unsigned>(b.klass)));
+    return {};
   }
+  const auto& config = engine_->config();
+  const auto& updates = world_->workload->updates();
+  const auto check_index = [&b](std::size_t count, const std::string& what) {
+    if (b.synth != 0 || b.index >= count) {
+      throw LiveError("kBarrier " + what + " index out of range");
+    }
+  };
+  if (klass == sim::EventClass::kFailure) {
+    check_index(config.failures.size(), "failure");
+  } else if (klass == sim::EventClass::kMembership) {
+    check_index(config.membership_events.size(), "membership");
+  } else if (klass == sim::EventClass::kUpdate) {
+    check_index(updates.size(), "update");
+  } else {
+    throw LiveError("unsupported kBarrier class " +
+                    std::to_string(static_cast<unsigned>(b.klass)));
+  }
+  // Only this member's owned groups carry registrations and resident
+  // copies (window events never ran for the others), so an update's
+  // figures are this member's share of the global ones — the coordinator
+  // sums the acks.
+  const sim::BarrierOutcome out =
+      engine_->on_barrier(klass, b.index, b.time_ms, updates, discard);
+  BarrierAck ack;
+  ack.holders_dropped = out.holders_dropped;
+  ack.invalidations_delta = out.invalidations;
   return ack;
 }
 

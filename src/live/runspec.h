@@ -19,7 +19,6 @@
 #include "net/synthetic.h"
 #include "obs/trace.h"
 #include "sim/config.h"
-#include "sim/engine.h"
 #include "workload/stream.h"
 
 namespace ecgf::live {
@@ -54,24 +53,6 @@ sim::SimulationConfig sim_config_for(
 std::vector<std::vector<cache::CacheIndex>> form_live_groups(
     const RunSpec& spec, const net::RttProvider& provider,
     obs::TraceContext* trace);
-
-/// Applies a barrier on a process's own engine replica while discarding
-/// its effects — the coordinator owns the real metrics and trace — except
-/// the last trace event emitted. An update barrier announces its holder
-/// count inside the invalidation event, and that count is the one figure
-/// the replicas must sum: members ship their share in a BarrierAck, and
-/// the coordinator re-emits the event with the global total.
-struct CaptureSink final : sim::EffectSink {
-  bool captured = false;
-  obs::TraceEvent event{};
-  void emit(const obs::TraceEvent& e) override {
-    captured = true;
-    event = e;
-  }
-  void record(cache::CacheIndex, double, sim::Resolution,
-              sim::SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
-};
 
 /// What the sequential oracle produced for a spec.
 struct OracleResult {

@@ -463,7 +463,6 @@ BarrierMsg decode_barrier(const std::vector<std::uint8_t>& payload) {
 
 std::vector<std::uint8_t> encode_barrier_ack(const BarrierAck& a) {
   Writer w;
-  w.u8(a.applied);
   w.u64(a.holders_dropped);
   w.u64(a.invalidations_delta);
   return w.take();
@@ -472,8 +471,6 @@ std::vector<std::uint8_t> encode_barrier_ack(const BarrierAck& a) {
 BarrierAck decode_barrier_ack(const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
   BarrierAck a;
-  a.applied = r.u8();
-  if (a.applied > 1) fail("barrier ack: bad applied flag");
   a.holders_dropped = r.u64();
   a.invalidations_delta = r.u64();
   r.done();

@@ -48,7 +48,7 @@ class LiveError : public std::runtime_error {
 };
 
 constexpr std::uint32_t kWireMagic = 0x46474345u;  // "ECGF" little-endian
-constexpr std::uint16_t kWireVersion = 2;
+constexpr std::uint16_t kWireVersion = 3;
 /// Hard cap on a frame payload: large enough for any effect batch a smoke
 /// or bench run produces, small enough that a corrupt length field cannot
 /// make the receiver allocate the moon.
@@ -70,7 +70,7 @@ enum class MsgType : std::uint16_t {
   kWindow = 11,       ///< coord → member: {cut, inclusive}
   kEffects = 12,      ///< member → coord: window counters + effect batch
   kBarrier = 13,      ///< coord → member: one barrier event to apply
-  kBarrierAck = 14,   ///< member → coord: {applied, holders, invalidations}
+  kBarrierAck = 14,   ///< member → coord: {holders, invalidations}
   kCoopFetch = 15,    ///< SocketExchange mirror of a data-body delivery
   kCoopControl = 16,  ///< SocketExchange mirror of a control delivery
   kFlush = 17,        ///< coord → member: send final counters
@@ -241,13 +241,12 @@ struct BarrierMsg {
 std::vector<std::uint8_t> encode_barrier(const BarrierMsg& b);
 BarrierMsg decode_barrier(const std::vector<std::uint8_t>& payload);
 
-/// Member's reply to a barrier: whether the engine applied it (leave /
-/// join return false when redundant) and, for updates, the member's local
-/// holder count and invalidation delta — the coordinator sums these
-/// across members to reconstruct the sequential run's global
-/// `invalidation` trace event and `invalidations_pushed` counter.
+/// Member's reply to a barrier: for updates, the member's local holder
+/// count and invalidation delta (zero for every other class) — the
+/// coordinator sums these across members to reconstruct the sequential
+/// run's global `invalidation` trace event and `invalidations_pushed`
+/// counter.
 struct BarrierAck {
-  std::uint8_t applied = 0;
   std::uint64_t holders_dropped = 0;
   std::uint64_t invalidations_delta = 0;
 };

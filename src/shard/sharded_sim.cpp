@@ -125,41 +125,17 @@ void ShardedSimulator::execute_barrier(
     const Barrier& barrier, const std::vector<workload::Update>& updates) {
   ECGF_PROF_SCOPE("shard.barrier");
   const double t = barrier.time_ms;
-  const auto& config = engine_.config();
-  switch (barrier.klass) {
-    case sim::EventClass::kFailure:
-      engine_.on_failure(config.failures[barrier.index].cache, t, coord_sink_);
-      break;
-    case sim::EventClass::kMembership: {
-      const sim::MembershipChange change =
-          config.membership_events[barrier.index];
-      if (change.kind == sim::MembershipChange::Kind::kLeave) {
-        if (engine_.on_leave(change.cache, t, coord_sink_) &&
-            hook_ != nullptr) {
-          hook_->on_leave(change.cache, t);
-        }
-      } else {
-        std::uint32_t group = 0;
-        if (engine_.on_join(change.cache, t, coord_sink_, &group) &&
-            hook_ != nullptr) {
-          hook_->on_join(change.cache, group, t);
-        }
-      }
-      break;
-    }
-    case sim::EventClass::kUpdate:
-      engine_.on_update(updates[barrier.index], coord_sink_);
-      break;
-    case sim::EventClass::kControlTick:
-      ++control_ticks_;
-      hook_->on_tick(*this, t);
-      break;
-    case sim::EventClass::kSummaryRefresh:
-      engine_.rebuild_summaries();
-      break;
-    default:
-      ECGF_EXPECTS(false);
+  if (barrier.klass == sim::EventClass::kControlTick) {
+    ++control_ticks_;
+    hook_->on_tick(*this, t);
+    return;
   }
+  const sim::BarrierOutcome out = engine_.on_barrier(
+      barrier.klass, barrier.index, t, updates, coord_sink_);
+  // The engine never talks to the hook: churn notifications are ours.
+  if (hook_ == nullptr) return;
+  if (out.left) hook_->on_leave(out.cache, t);
+  if (out.joined) hook_->on_join(out.cache, out.group, t);
 }
 
 sim::SimulationReport ShardedSimulator::run(const workload::Trace& trace) {

@@ -9,6 +9,56 @@
 
 namespace ecgf::sim {
 
+namespace {
+
+/// Cache `i`'s empty store: its configured capacity and replacement policy.
+std::unique_ptr<cache::EdgeCache> make_edge_cache(
+    const SimulationConfig& config, const cache::Catalog& catalog,
+    cache::CacheIndex i) {
+  const std::uint64_t capacity = config.per_cache_capacity_bytes.empty()
+                                     ? config.cache_capacity_bytes
+                                     : config.per_cache_capacity_bytes[i];
+  return std::make_unique<cache::EdgeCache>(
+      capacity, catalog,
+      cache::make_policy(config.policy, catalog, config.utility_params));
+}
+
+}  // namespace
+
+CacheGroups build_cache_groups(const SimulationConfig& config,
+                               const cache::Catalog& catalog,
+                               std::size_t host_count) {
+  ECGF_EXPECTS(!config.groups.empty());
+  std::size_t n = 0;
+  for (const auto& g : config.groups) n += g.size();
+  ECGF_EXPECTS(n > 0);
+  ECGF_EXPECTS(n < host_count);
+  CacheGroups built;
+  built.group_of.assign(n, std::numeric_limits<std::size_t>::max());
+  for (std::size_t g = 0; g < config.groups.size(); ++g) {
+    ECGF_EXPECTS(!config.groups[g].empty());
+    for (cache::CacheIndex c : config.groups[g]) {
+      ECGF_EXPECTS(c < n);
+      ECGF_EXPECTS(built.group_of[c] ==
+                   std::numeric_limits<std::size_t>::max());  // no duplicates
+      built.group_of[c] = g;
+    }
+  }
+  ECGF_EXPECTS(config.per_cache_capacity_bytes.empty() ||
+               config.per_cache_capacity_bytes.size() == n);
+  built.caches.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    built.caches.push_back(
+        make_edge_cache(config, catalog, static_cast<cache::CacheIndex>(i)));
+  }
+  built.directories.reserve(config.groups.size());
+  for (const auto& g : config.groups) {
+    built.directories.push_back(
+        std::make_unique<cache::GroupDirectory>(g, config.beacons_per_group));
+  }
+  return built;
+}
+
 ShardableEngine::ShardableEngine(const cache::Catalog& catalog,
                                  const net::RttProvider& rtt,
                                  net::HostId server, SimulationConfig config)
@@ -16,42 +66,12 @@ ShardableEngine::ShardableEngine(const cache::Catalog& catalog,
       rtt_(rtt),
       server_(server),
       config_(std::move(config)) {
-  ECGF_EXPECTS(!config_.groups.empty());
   ECGF_EXPECTS(server_ < rtt_.host_count());
-
-  // The groups must partition [0, N) for some N.
-  std::size_t n = 0;
-  for (const auto& g : config_.groups) n += g.size();
-  ECGF_EXPECTS(n > 0);
-  ECGF_EXPECTS(n < rtt_.host_count());  // hosts = caches + origin
-  cache_count_ = n;
-  group_of_.assign(n, std::numeric_limits<std::size_t>::max());
-  for (std::size_t g = 0; g < config_.groups.size(); ++g) {
-    ECGF_EXPECTS(!config_.groups[g].empty());
-    for (cache::CacheIndex c : config_.groups[g]) {
-      ECGF_EXPECTS(c < n);
-      ECGF_EXPECTS(group_of_[c] ==
-                   std::numeric_limits<std::size_t>::max());  // no duplicates
-      group_of_[c] = g;
-    }
-  }
-
-  ECGF_EXPECTS(config_.per_cache_capacity_bytes.empty() ||
-               config_.per_cache_capacity_bytes.size() == n);
-  caches_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t capacity = config_.per_cache_capacity_bytes.empty()
-                                       ? config_.cache_capacity_bytes
-                                       : config_.per_cache_capacity_bytes[i];
-    caches_.push_back(std::make_unique<cache::EdgeCache>(
-        capacity, catalog_,
-        cache::make_policy(config_.policy, catalog_, config_.utility_params)));
-  }
-  directories_.reserve(config_.groups.size());
-  for (const auto& g : config_.groups) {
-    directories_.push_back(
-        std::make_unique<cache::GroupDirectory>(g, config_.beacons_per_group));
-  }
+  CacheGroups built = build_cache_groups(config_, catalog_, rtt_.host_count());
+  group_of_ = std::move(built.group_of);
+  caches_ = std::move(built.caches);
+  directories_ = std::move(built.directories);
+  const std::size_t n = cache_count_ = group_of_.size();
   origin_ = std::make_unique<cache::OriginServer>(catalog_);
   down_.assign(n, false);
   departed_.assign(n, false);
@@ -194,13 +214,7 @@ bool ShardableEngine::on_join(cache::CacheIndex cache, SimTime t,
   // Rejoin cold: a returning node has no warm store to offer. It resumes
   // in its last group (beacon membership was never rewritten) unless the
   // control hook repartitions later.
-  const std::uint64_t capacity =
-      config_.per_cache_capacity_bytes.empty()
-          ? config_.cache_capacity_bytes
-          : config_.per_cache_capacity_bytes[cache];
-  caches_[cache] = std::make_unique<cache::EdgeCache>(
-      capacity, catalog_,
-      cache::make_policy(config_.policy, catalog_, config_.utility_params));
+  caches_[cache] = make_edge_cache(config_, catalog_, cache);
   ++joins_applied_;
   const auto group = static_cast<std::uint32_t>(group_of_[cache]);
   sink.emit(obs::TraceEvent::cache_join(t, cache, group));
@@ -279,12 +293,12 @@ void ShardableEngine::on_failure(cache::CacheIndex failed, SimTime t,
   sink.emit(obs::TraceEvent::cache_failure(t, failed));
 }
 
-void ShardableEngine::on_update(const workload::Update& update,
-                                EffectSink& sink) {
+std::size_t ShardableEngine::on_update(const workload::Update& update,
+                                       EffectSink& sink) {
   origin_->apply_update(update.doc);
   if (config_.consistency == ConsistencyMode::kTtl) {
     // TTL consistency: updates generate no traffic; copies simply age out.
-    return;
+    return 0;
   }
   // Push invalidation: every registered holder in every group drops its
   // copy. The consistency traffic travels off the client path, so no
@@ -302,6 +316,43 @@ void ShardableEngine::on_update(const workload::Update& update,
   }
   sink.emit(obs::TraceEvent::invalidation(update.time_ms, update.doc,
                                           holders_dropped));
+  return holders_dropped;
+}
+
+BarrierOutcome ShardableEngine::on_barrier(
+    EventClass klass, std::size_t index, SimTime t,
+    const std::vector<workload::Update>& updates, EffectSink& sink) {
+  BarrierOutcome out;
+  switch (klass) {
+    case sim::EventClass::kFailure:
+      ECGF_EXPECTS(index < config_.failures.size());
+      on_failure(config_.failures[index].cache, t, sink);
+      break;
+    case sim::EventClass::kMembership: {
+      ECGF_EXPECTS(index < config_.membership_events.size());
+      const MembershipChange& change = config_.membership_events[index];
+      out.cache = change.cache;
+      if (change.kind == MembershipChange::Kind::kLeave) {
+        out.left = on_leave(change.cache, t, sink);
+      } else {
+        out.joined = on_join(change.cache, t, sink, &out.group);
+      }
+      break;
+    }
+    case sim::EventClass::kUpdate: {
+      ECGF_EXPECTS(index < updates.size());
+      const std::uint64_t before = invalidations_pushed_;
+      out.holders_dropped = on_update(updates[index], sink);
+      out.invalidations = invalidations_pushed_ - before;
+      break;
+    }
+    case sim::EventClass::kSummaryRefresh:
+      rebuild_summaries();
+      break;
+    default:
+      ECGF_EXPECTS(false);
+  }
+  return out;
 }
 
 bool ShardableEngine::find_beacon(const cache::GroupDirectory& dir,

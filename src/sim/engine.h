@@ -21,8 +21,12 @@
 //     EffectSink precisely so the shared OriginServer stays read-only).
 //   * Barrier events (kFailure, kMembership, kUpdate, kSummaryRefresh,
 //     kControlTick) mutate shared state and must run with all shards
-//     quiescent. on_update() / on_failure() / on_leave() / on_join() /
-//     apply_groups() / rebuild_summaries() are coordinator-only.
+//     quiescent. on_barrier() is the one map from a scripted barrier to
+//     its engine call — on_failure() / on_leave() / on_join() /
+//     on_update() / rebuild_summaries() — for the sharded driver, the live
+//     coordinator and each live member's replica alike. kControlTick
+//     stays with the driver, whose control hook may call apply_groups().
+//     None of these run inside a window.
 //
 // Side effects that feed order-sensitive consumers (the metrics
 // collector's float accumulators and latency reservoir, the trace stream's
@@ -91,12 +95,46 @@ class EffectSink {
   EngineTally tally;
 };
 
+/// A sink that drops every effect (the tally still counts): for replicas
+/// whose effects another process owns, and for code that drives the
+/// engine directly.
+struct DiscardSink final : EffectSink {
+  void emit(const obs::TraceEvent&) override {}
+  void record(cache::CacheIndex, double, Resolution, SimTime) override {}
+  void rtt_sample(net::HostId, net::HostId, double, SimTime) override {}
+};
+
+/// What one barrier did, beyond its trace events: the churn the driver
+/// reports to its control hook, and the update figures the live
+/// coordinator sums across member replicas.
+struct BarrierOutcome {
+  bool left = false;             ///< a leave applied (not already departed)
+  bool joined = false;           ///< a join applied (cache was departed)
+  cache::CacheIndex cache = 0;   ///< the cache that left or joined
+  std::uint32_t group = 0;       ///< the group a joined cache rejoined
+  std::uint64_t holders_dropped = 0;  ///< update: registered holders dropped
+  std::uint64_t invalidations = 0;    ///< update: stored copies invalidated
+};
+
 /// What a completion event does with the fetched bytes when it fires.
 enum class StoreMode : std::uint8_t {
   kNoStore,           ///< local hit / crashed requester: nothing to place
   kIfVersionCurrent,  ///< push-invalidation: store unless origin moved on
   kTtl,               ///< TTL mode: store unless the requester crashed
 };
+
+/// The cooperative state both engines (this one and the message-level
+/// engine) start a run from: an empty store per cache and a directory per
+/// group. `config.groups` must partition [0, N) for some
+/// 0 < N < host_count (hosts = caches + origin).
+struct CacheGroups {
+  std::vector<std::size_t> group_of;  ///< cache → group index
+  std::vector<std::unique_ptr<cache::EdgeCache>> caches;
+  std::vector<std::unique_ptr<cache::GroupDirectory>> directories;
+};
+CacheGroups build_cache_groups(const SimulationConfig& config,
+                               const cache::Catalog& catalog,
+                               std::size_t host_count);
 
 /// A request's resolution in transit: everything the completion event
 /// needs, as data. Produced by on_request(), consumed by on_complete().
@@ -145,21 +183,28 @@ class ShardableEngine {
 
   // ---- barrier events (coordinator-only) ----
 
+  /// Apply the scripted barrier `klass` #`index` at `t`: failure and
+  /// membership indices name config().failures / membership_events, update
+  /// indices name `updates`, and kSummaryRefresh rebuilds the summaries.
+  /// kControlTick is the driver's, not the engine's. The engine never
+  /// talks to the control hook: the driver reports the outcome's churn.
+  BarrierOutcome on_barrier(EventClass klass, std::size_t index, SimTime t,
+                            const std::vector<workload::Update>& updates,
+                            EffectSink& sink);
+
   /// Apply one origin update; pushes invalidations to registered holders
-  /// under ConsistencyMode::kPushInvalidation.
-  void on_update(const workload::Update& update, EffectSink& sink);
+  /// under ConsistencyMode::kPushInvalidation and returns how many
+  /// registrations it dropped (0 under TTL, which pushes nothing).
+  std::size_t on_update(const workload::Update& update, EffectSink& sink);
 
   /// Crash `failed` permanently (registrations purged). Idempotent.
   void on_failure(cache::CacheIndex failed, SimTime t, EffectSink& sink);
 
-  /// Graceful departure; returns false if already departed (no-op). The
-  /// DRIVER notifies the control hook on true — the engine never talks to
-  /// the hook directly.
+  /// Graceful departure; returns false if already departed (no-op).
   bool on_leave(cache::CacheIndex cache, SimTime t, EffectSink& sink);
 
   /// Rejoin (cold store, last group); returns false if not departed.
-  /// On success `group_out` receives the group rejoined, for the driver's
-  /// hook notification.
+  /// On success `group_out` receives the group rejoined.
   bool on_join(cache::CacheIndex cache, SimTime t, EffectSink& sink,
                std::uint32_t* group_out);
 
@@ -192,10 +237,9 @@ class ShardableEngine {
   const cache::Catalog& catalog() const { return catalog_; }
   const net::RttProvider& rtt() const { return rtt_; }
 
-  /// Invalidations pushed by on_update() so far. The live coordinator
-  /// reads the delta around each update barrier from every member replica
-  /// (each counts only its own groups' holders) and sums them into the
-  /// run's global figure.
+  /// Invalidations pushed by on_update() so far. A live member replica
+  /// counts only its own groups' holders; the coordinator sums each update
+  /// barrier's BarrierOutcome::invalidations across the replicas.
   std::uint64_t invalidations_pushed() const { return invalidations_pushed_; }
 
   /// Assemble the final report from the driver's metrics plus the engine's

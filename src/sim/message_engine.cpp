@@ -84,7 +84,6 @@ class MessageLevelSimulator {
                         const MessageEngineConfig& config)
       : catalog_(catalog), rtt_(rtt), server_(server), config_(config) {
     const SimulationConfig& base = config_.base;
-    ECGF_EXPECTS(!base.groups.empty());
     // The message level models push-invalidated beacon directories over
     // a static, failure-free membership with score-gated placement. Every
     // config field outside that is rejected rather than silently ignored.
@@ -100,34 +99,11 @@ class MessageLevelSimulator {
     ECGF_EXPECTS(config_.cache_service_ms >= 0.0);
     ECGF_EXPECTS(config_.origin_service_ms >= 0.0);
 
-    std::size_t n = 0;
-    for (const auto& g : base.groups) n += g.size();
-    ECGF_EXPECTS(n > 0 && n < rtt_.host_count());
-    cache_count_ = n;
-
-    group_of_.assign(n, std::numeric_limits<std::size_t>::max());
-    for (std::size_t g = 0; g < base.groups.size(); ++g) {
-      ECGF_EXPECTS(!base.groups[g].empty());
-      for (cache::CacheIndex c : base.groups[g]) {
-        ECGF_EXPECTS(c < n);
-        ECGF_EXPECTS(group_of_[c] == std::numeric_limits<std::size_t>::max());
-        group_of_[c] = g;
-      }
-    }
-    ECGF_EXPECTS(base.per_cache_capacity_bytes.empty() ||
-                 base.per_cache_capacity_bytes.size() == n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t capacity = base.per_cache_capacity_bytes.empty()
-                                         ? base.cache_capacity_bytes
-                                         : base.per_cache_capacity_bytes[i];
-      caches_.push_back(std::make_unique<cache::EdgeCache>(
-          capacity, catalog_,
-          cache::make_policy(base.policy, catalog_, base.utility_params)));
-    }
-    for (const auto& g : base.groups) {
-      directories_.push_back(
-          std::make_unique<cache::GroupDirectory>(g, base.beacons_per_group));
-    }
+    CacheGroups built = build_cache_groups(base, catalog_, rtt_.host_count());
+    group_of_ = std::move(built.group_of);
+    caches_ = std::move(built.caches);
+    directories_ = std::move(built.directories);
+    const std::size_t n = cache_count_ = group_of_.size();
     origin_ = std::make_unique<cache::OriginServer>(catalog_);
     metrics_ = std::make_unique<MetricsCollector>(n);
     cache_busy_until_.assign(n, 0.0);

@@ -414,12 +414,6 @@ TEST(Simulator, TraceEventsConserveRequests) {
 // scan breaks RTT ties between holders by list position).
 // ----------------------------------------------------------------------
 
-struct DiscardSink final : EffectSink {
-  void emit(const obs::TraceEvent&) override {}
-  void record(cache::CacheIndex, double, Resolution, SimTime) override {}
-  void rtt_sample(net::HostId, net::HostId, double, SimTime) override {}
-};
-
 /// The directories a rebuild from scratch gives the engine's current
 /// groups: fresh directories, then every live cache's resident documents
 /// registered in cache-index order.

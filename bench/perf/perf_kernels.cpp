@@ -17,21 +17,28 @@
 //   regroup           directory rebuild from scratch at every regrouping →
 //                     sim::ShardableEngine::apply_groups, which moves only
 //                     the caches that changed group
+//   doc_table         the cache layer's doc-keyed maps as std::unordered_map
+//                     → cache::DocTable (flat open addressing), replaying
+//                     the key operations of a serve-shaped run
 //   e2e_sl / e2e_sdsl whole-scheme formation with kmeans.prune off → on
 //
 // Output: a human table on stdout, `# shape-check:` equality verdicts, and
 // a JSON report (--out, default BENCH_perf.json). --mode=smoke shrinks every
 // size so the whole suite runs in seconds — scripts/check.sh runs it as a
 // correctness gate (equality checks only; smoke timings are noise).
+#include <algorithm>
 #include <cstddef>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/catalog.h"
 #include "cache/directory.h"
+#include "cache/doc_table.h"
 #include "cluster/init.h"
 #include "cluster/kmeans.h"
 #include "coords/feature_vector.h"
@@ -70,6 +77,8 @@ struct Config {
   std::size_t lookahead_reshards = 24;
   std::size_t regroup_caches = 1024;
   std::size_t regroup_steps = 24;
+  std::size_t table_caches = 1024;
+  std::size_t table_requests_per_cache = 120;
   std::vector<std::size_t> e2e_n;
   std::size_t e2e_k = 16;
   std::size_t warmup = 1;
@@ -95,6 +104,8 @@ Config smoke_config() {
   c.lookahead_reshards = 8;
   c.regroup_caches = 256;
   c.regroup_steps = 16;
+  c.table_caches = 128;
+  c.table_requests_per_cache = 40;
   c.e2e_n = {48};
   c.e2e_k = 4;
   c.warmup = 0;
@@ -738,6 +749,287 @@ void bench_regroup(perf::Report& report, const Config& cfg,
 }
 
 // --------------------------------------------------------------------------
+// doc_table: the key-level operations of a serve-shaped run replayed on two
+// sets of doc-keyed tables — per-cache resident sets and per-group holder
+// lists, as cache::EdgeCache and cache::GroupDirectory keep them. Naive:
+// std::unordered_map, which the cache layer used before. Optimised:
+// cache::DocTable. The operation trace is drawn once, untimed; both sides
+// replay it from empty tables and must return the same result for every
+// lookup and end with the same contents.
+
+struct TableOp {
+  enum Kind : std::uint8_t {
+    kLookup,        ///< resident version at `cache`, or none
+    kHolders,       ///< holder list of `doc` in `group`
+    kInsert,        ///< store or refresh (doc, version) at `cache`
+    kErase,         ///< drop `doc` at `cache`
+    kAddHolder,     ///< register `cache` for `doc` in `group`
+    kRemoveHolder,  ///< deregister it; an emptied list is erased
+  };
+  Kind kind;
+  std::uint32_t cache;
+  std::uint32_t group;
+  cache::DocId doc;
+  cache::Version version;
+};
+
+struct TableResident {
+  cache::Version version = 0;
+  double stored_ms = 0.0;
+};
+
+/// The request path's key operations: serve's Zipf(0.9) stream over 4,000
+/// documents, groups of 64 caches, 128 documents per cache (about what a
+/// 2 MB store holds), random victims, and an origin update on 0.3% of the
+/// requests that invalidates every registered copy.
+std::vector<TableOp> serve_table_trace(std::size_t caches,
+                                       std::size_t requests) {
+  constexpr std::size_t kDocs = 4000;
+  constexpr std::size_t kCapacity = 128;
+  const std::size_t groups = std::max<std::size_t>(2, caches / 64);
+  const workload::ZipfSampler zipf(kDocs, 0.9);
+  util::Rng rng(53);
+  std::vector<cache::Version> version(kDocs, 1);
+  std::vector<std::vector<cache::DocId>> held(caches);
+  std::vector<std::unordered_map<cache::DocId, cache::Version>> stored(caches);
+  std::vector<std::unordered_map<cache::DocId, std::vector<std::uint32_t>>>
+      holders(groups);
+  std::vector<TableOp> ops;
+  const auto op = [&](TableOp::Kind kind, std::size_t c, cache::DocId d) {
+    ops.push_back({kind, static_cast<std::uint32_t>(c),
+                   static_cast<std::uint32_t>(c % groups), d, version[d]});
+  };
+  const auto drop = [&](std::size_t c, cache::DocId d) {
+    op(TableOp::kErase, c, d);
+    op(TableOp::kRemoveHolder, c, d);
+    std::erase(held[c], d);
+    stored[c].erase(d);
+    auto& hs = holders[c % groups][d];
+    std::erase(hs, static_cast<std::uint32_t>(c));
+    if (hs.empty()) holders[c % groups].erase(d);
+  };
+  for (std::size_t r = 0; r < requests; ++r) {
+    const std::size_t c = rng.index(caches);
+    const auto d = static_cast<cache::DocId>(zipf.sample(rng));
+    op(TableOp::kLookup, c, d);
+    const auto it = stored[c].find(d);
+    const bool resident = it != stored[c].end();
+    if (!resident || it->second != version[d]) {
+      op(TableOp::kHolders, c, d);
+      if (const auto h = holders[c % groups].find(d);
+          h != holders[c % groups].end()) {
+        for (std::uint32_t peer : h->second) {
+          if (peer != c) op(TableOp::kLookup, peer, d);
+        }
+      }
+      if (!resident && held[c].size() == kCapacity) {
+        drop(c, held[c][rng.index(kCapacity)]);
+      }
+      op(TableOp::kInsert, c, d);
+      stored[c][d] = version[d];
+      if (!resident) {
+        op(TableOp::kAddHolder, c, d);
+        held[c].push_back(d);
+        holders[c % groups][d].push_back(static_cast<std::uint32_t>(c));
+      }
+    }
+    if (rng.bernoulli(0.003)) {
+      const auto u = static_cast<cache::DocId>(zipf.sample(rng));
+      ++version[u];
+      for (auto& group : holders) {
+        const auto h = group.find(u);
+        if (h == group.end()) continue;
+        for (std::uint32_t peer : std::vector<std::uint32_t>(h->second)) {
+          drop(peer, u);
+        }
+      }
+    }
+  }
+  return ops;
+}
+
+/// Replay `ops` on `tables`; returns every lookup result in order (a
+/// version or ~0 per resident lookup, the length and entries of each holder
+/// list).
+template <typename Tables>
+std::vector<std::uint64_t> replay_table_ops(const std::vector<TableOp>& ops,
+                                            Tables& tables) {
+  constexpr auto kNone = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> out;
+  out.reserve(2 * ops.size());
+  for (const TableOp& op : ops) {
+    switch (op.kind) {
+      case TableOp::kLookup: {
+        const TableResident* r = tables.find(op.cache, op.doc);
+        out.push_back(r == nullptr ? kNone : r->version);
+        break;
+      }
+      case TableOp::kHolders: {
+        const std::vector<std::uint32_t>* hs =
+            tables.holders(op.group, op.doc);
+        out.push_back(hs == nullptr ? 0 : hs->size());
+        if (hs != nullptr) out.insert(out.end(), hs->begin(), hs->end());
+        break;
+      }
+      case TableOp::kInsert:
+        tables.insert(op.cache, op.doc, {op.version, 0.0});
+        break;
+      case TableOp::kErase:
+        tables.erase(op.cache, op.doc);
+        break;
+      case TableOp::kAddHolder:
+        tables.add_holder(op.group, op.doc, op.cache);
+        break;
+      case TableOp::kRemoveHolder:
+        tables.remove_holder(op.group, op.doc, op.cache);
+        break;
+    }
+  }
+  return out;
+}
+
+/// The naive side: the std::unordered_map layout the cache layer had.
+struct UnorderedTables {
+  std::vector<std::unordered_map<cache::DocId, TableResident>> resident;
+  std::vector<std::unordered_map<cache::DocId, std::vector<std::uint32_t>>>
+      lists;
+
+  UnorderedTables(std::size_t caches, std::size_t groups)
+      : resident(caches), lists(groups) {}
+  const TableResident* find(std::uint32_t c, cache::DocId d) const {
+    const auto it = resident[c].find(d);
+    return it == resident[c].end() ? nullptr : &it->second;
+  }
+  void insert(std::uint32_t c, cache::DocId d, TableResident r) {
+    resident[c][d] = r;
+  }
+  void erase(std::uint32_t c, cache::DocId d) { resident[c].erase(d); }
+  const std::vector<std::uint32_t>* holders(std::uint32_t g,
+                                            cache::DocId d) const {
+    const auto it = lists[g].find(d);
+    return it == lists[g].end() ? nullptr : &it->second;
+  }
+  void add_holder(std::uint32_t g, cache::DocId d, std::uint32_t h) {
+    auto& hs = lists[g][d];
+    if (std::find(hs.begin(), hs.end(), h) == hs.end()) hs.push_back(h);
+  }
+  void remove_holder(std::uint32_t g, cache::DocId d, std::uint32_t h) {
+    const auto it = lists[g].find(d);
+    if (it == lists[g].end()) return;
+    std::erase(it->second, h);
+    if (it->second.empty()) lists[g].erase(it);
+  }
+  template <typename Table, typename F>
+  static void for_each(const Table& table, F&& f) {
+    for (const auto& [d, v] : table) f(d, v);
+  }
+};
+
+/// The optimised side: the same operations on cache::DocTable.
+struct FlatTables {
+  std::vector<cache::DocTable<TableResident>> resident;
+  std::vector<cache::DocTable<std::vector<std::uint32_t>>> lists;
+
+  FlatTables(std::size_t caches, std::size_t groups)
+      : resident(caches), lists(groups) {}
+  const TableResident* find(std::uint32_t c, cache::DocId d) const {
+    const auto* slot = resident[c].find(d);
+    return slot == nullptr ? nullptr : &slot->value;
+  }
+  void insert(std::uint32_t c, cache::DocId d, TableResident r) {
+    resident[c].try_emplace(d).first->value = r;
+  }
+  void erase(std::uint32_t c, cache::DocId d) { resident[c].erase(d); }
+  const std::vector<std::uint32_t>* holders(std::uint32_t g,
+                                            cache::DocId d) const {
+    const auto* slot = lists[g].find(d);
+    return slot == nullptr ? nullptr : &slot->value;
+  }
+  void add_holder(std::uint32_t g, cache::DocId d, std::uint32_t h) {
+    auto& hs = lists[g].try_emplace(d).first->value;
+    if (std::find(hs.begin(), hs.end(), h) == hs.end()) hs.push_back(h);
+  }
+  void remove_holder(std::uint32_t g, cache::DocId d, std::uint32_t h) {
+    auto* slot = lists[g].find(d);
+    if (slot == nullptr) return;
+    std::erase(slot->value, h);
+    if (slot->value.empty()) lists[g].erase(*slot);
+  }
+  template <typename Table, typename F>
+  static void for_each(const Table& table, F&& f) {
+    table.for_each(f);
+  }
+};
+
+/// Every (cache, doc, version) and (group, doc, holders…), sorted.
+template <typename Tables>
+std::vector<std::uint64_t> table_contents(const Tables& tables) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t c = 0; c < tables.resident.size(); ++c) {
+    std::vector<std::pair<cache::DocId, cache::Version>> rows;
+    Tables::for_each(tables.resident[c],
+                     [&](cache::DocId d, const TableResident& r) {
+                       rows.emplace_back(d, r.version);
+                     });
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [d, v] : rows) out.insert(out.end(), {c, d, v});
+  }
+  for (std::size_t g = 0; g < tables.lists.size(); ++g) {
+    std::vector<std::pair<cache::DocId, std::vector<std::uint32_t>>> rows;
+    Tables::for_each(tables.lists[g],
+                     [&](cache::DocId d, const std::vector<std::uint32_t>& hs) {
+                       rows.emplace_back(d, hs);
+                     });
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [d, hs] : rows) {
+      out.insert(out.end(), {g, d, hs.size()});
+      out.insert(out.end(), hs.begin(), hs.end());
+    }
+  }
+  return out;
+}
+
+void bench_doc_table(perf::Report& report, const Config& cfg,
+                     const std::string& filter) {
+  if (!wants(filter, "doc_table")) return;
+  const std::size_t caches = cfg.table_caches;
+  const std::size_t groups = std::max<std::size_t>(2, caches / 64);
+  const std::vector<TableOp> ops =
+      serve_table_trace(caches, caches * cfg.table_requests_per_cache);
+
+  {
+    UnorderedTables naive(caches, groups);
+    FlatTables flat(caches, groups);
+    const auto a = replay_table_ops(ops, naive);
+    const auto b = replay_table_ops(ops, flat);
+    report.check("DocTable == std::unordered_map on every lookup and the "
+                     "final contents (ops=" + std::to_string(ops.size()) +
+                     ", caches=" + std::to_string(caches) + ")",
+                 a == b && table_contents(naive) == table_contents(flat));
+  }
+
+  perf::Entry e;
+  e.bench = "doc_table";
+  e.params = "caches=" + std::to_string(caches) +
+             " ops=" + std::to_string(ops.size());
+  e.n = caches;
+  const std::size_t reps = reps_for(caches, cfg);
+  std::tie(e.naive, e.optimized) = perf::time_pair(
+      [&] {
+        UnorderedTables tables(caches, groups);
+        const auto out = replay_table_ops(ops, tables);
+        perf::keep(&out);
+      },
+      [&] {
+        FlatTables tables(caches, groups);
+        const auto out = replay_table_ops(ops, tables);
+        perf::keep(&out);
+      },
+      reps, cfg.warmup);
+  report.add(std::move(e));
+}
+
+// --------------------------------------------------------------------------
 // e2e: whole SL / SDSL formation over a synthetic network, kmeans.prune off
 // vs on. Everything else (landmarks, probing, positions) is shared cost, so
 // this shows the end-to-end effect of the kernel work.
@@ -805,8 +1097,7 @@ int main(int argc, char** argv) {
   flags.define("filter",
                "substring filter on bench names "
                "(kmeans, distance_matrix, dijkstra, prober_fv, lookahead, "
-               "regroup, "
-               "e2e_sl, e2e_sdsl); empty = all",
+               "regroup, doc_table, e2e_sl, e2e_sdsl); empty = all",
                "");
   flags.define("threads",
                "thread-pool size; 1 (default) for stable single-core timings",
@@ -832,6 +1123,7 @@ int main(int argc, char** argv) {
   bench_prober_fv(report, cfg, filter);
   bench_lookahead(report, cfg, filter);
   bench_regroup(report, cfg, filter);
+  bench_doc_table(report, cfg, filter);
   bench_e2e(report, cfg, filter, /*sdsl=*/false);
   bench_e2e(report, cfg, filter, /*sdsl=*/true);
 

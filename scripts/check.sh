@@ -197,11 +197,15 @@ fi
 # Tarjan pass and its index-heavy per-component folds; bench_report_test
 # covers the report writer every bench JSON goes through; failure_test
 # drives failure barriers and message_engine_test the construction both
-# engines share. Probe compiler support first; skip with ECGF_SKIP_ASAN=1.
+# engines share; fuzz_test checks the edge cache and the directory (both
+# on cache::DocTable) against a reference model, consistency_test the TTL
+# lookups, and summary_test the summary rebuilds from resident_docs.
+# Probe compiler support first; skip with ECGF_SKIP_ASAN=1.
 asan_tests=(sim_test shard_test ctl_test schemes_test net_test cache_test
             netmodel_test workload_test live_test perf_kernels_test
             differential_test topology_test shortest_paths_test
-            bench_report_test failure_test message_engine_test)
+            bench_report_test failure_test message_engine_test fuzz_test
+            consistency_test summary_test)
 if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   asan_probe="$(mktemp -d)"
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"

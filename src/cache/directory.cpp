@@ -18,9 +18,9 @@ void GroupDirectory::reassign(std::vector<CacheIndex> members,
 }
 
 void GroupDirectory::sort_holders() {
-  for (auto& [doc, hs] : holders_) {
+  holders_.for_each([](DocId, std::vector<CacheIndex>& hs) {
     if (!std::is_sorted(hs.begin(), hs.end())) std::sort(hs.begin(), hs.end());
-  }
+  });
 }
 
 CacheIndex GroupDirectory::beacon_for(DocId doc) const {
@@ -34,24 +34,25 @@ std::size_t GroupDirectory::beacon_slot(DocId doc) const {
 }
 
 std::size_t GroupDirectory::remove_all_for_holder(CacheIndex holder) {
+  // Erasing moves entries, so emptied lists are dropped after the sweep.
+  std::vector<DocId> emptied;
   std::size_t dropped = 0;
-  for (auto it = holders_.begin(); it != holders_.end();) {
-    auto& hs = it->second;
+  holders_.for_each([&](DocId doc, std::vector<CacheIndex>& hs) {
     const auto pos = std::find(hs.begin(), hs.end(), holder);
-    if (pos != hs.end()) {
-      hs.erase(pos);
-      --registrations_;
-      ++dropped;
-    }
-    it = hs.empty() ? holders_.erase(it) : std::next(it);
-  }
+    if (pos == hs.end()) return;
+    hs.erase(pos);
+    ++dropped;
+    if (hs.empty()) emptied.push_back(doc);
+  });
+  for (DocId doc : emptied) holders_.erase(doc);
+  registrations_ -= dropped;
   return dropped;
 }
 
 void GroupDirectory::add_holder(DocId doc, CacheIndex holder) {
   ECGF_EXPECTS(std::find(members_.begin(), members_.end(), holder) !=
                members_.end());
-  auto& hs = holders_[doc];
+  auto& hs = holders_.try_emplace(doc).first->value;
   if (std::find(hs.begin(), hs.end(), holder) == hs.end()) {
     hs.push_back(holder);
     ++registrations_;
@@ -59,20 +60,20 @@ void GroupDirectory::add_holder(DocId doc, CacheIndex holder) {
 }
 
 void GroupDirectory::remove_holder(DocId doc, CacheIndex holder) {
-  const auto it = holders_.find(doc);
-  if (it == holders_.end()) return;
-  auto& hs = it->second;
+  auto* slot = holders_.find(doc);
+  if (slot == nullptr) return;
+  auto& hs = slot->value;
   const auto pos = std::find(hs.begin(), hs.end(), holder);
   if (pos != hs.end()) {
     hs.erase(pos);
     --registrations_;
-    if (hs.empty()) holders_.erase(it);
+    if (hs.empty()) holders_.erase(*slot);
   }
 }
 
 const std::vector<CacheIndex>& GroupDirectory::holders(DocId doc) const {
-  const auto it = holders_.find(doc);
-  return it == holders_.end() ? empty_ : it->second;
+  const auto* slot = holders_.find(doc);
+  return slot == nullptr ? empty_ : slot->value;
 }
 
 }  // namespace ecgf::cache

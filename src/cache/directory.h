@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/doc_table.h"
 #include "cache/document.h"
 #include "util/expect.h"
 
@@ -66,7 +66,7 @@ class GroupDirectory {
  private:
   std::vector<CacheIndex> members_;
   std::size_t beacons_ = 0;
-  std::unordered_map<DocId, std::vector<CacheIndex>> holders_;
+  DocTable<std::vector<CacheIndex>> holders_;  ///< no empty lists
   std::vector<CacheIndex> empty_;
   std::size_t registrations_ = 0;
 };

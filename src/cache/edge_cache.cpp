@@ -14,13 +14,13 @@ EdgeCache::EdgeCache(std::uint64_t capacity_bytes, const Catalog& catalog,
 LookupOutcome EdgeCache::lookup(DocId doc, Version current_version,
                                 double now_ms) {
   ++stats_.lookups;
-  const auto it = resident_.find(doc);
-  if (it == resident_.end()) {
+  const auto* r = resident_.find(doc);
+  if (r == nullptr) {
     ++stats_.misses;
     record_demand(doc, now_ms);
     return LookupOutcome::kMiss;
   }
-  if (it->second.version != current_version) {
+  if (r->value.version != current_version) {
     ++stats_.stale_hits;
     record_demand(doc, now_ms);
     return LookupOutcome::kHitStale;
@@ -33,13 +33,13 @@ LookupOutcome EdgeCache::lookup(DocId doc, Version current_version,
 LookupOutcome EdgeCache::lookup_ttl(DocId doc, double ttl_ms, double now_ms) {
   ECGF_EXPECTS(ttl_ms > 0.0);
   ++stats_.lookups;
-  const auto it = resident_.find(doc);
-  if (it == resident_.end()) {
+  const auto* r = resident_.find(doc);
+  if (r == nullptr) {
     ++stats_.misses;
     record_demand(doc, now_ms);
     return LookupOutcome::kMiss;
   }
-  if (now_ms - it->second.stored_ms > ttl_ms) {
+  if (now_ms - r->value.stored_ms > ttl_ms) {
     ++stats_.stale_hits;
     record_demand(doc, now_ms);
     return LookupOutcome::kHitStale;
@@ -50,29 +50,28 @@ LookupOutcome EdgeCache::lookup_ttl(DocId doc, double ttl_ms, double now_ms) {
 }
 
 bool EdgeCache::has_fresh(DocId doc, Version version) const {
-  const auto it = resident_.find(doc);
-  return it != resident_.end() && it->second.version == version;
+  const auto* r = resident_.find(doc);
+  return r != nullptr && r->value.version == version;
 }
 
 bool EdgeCache::has_unexpired(DocId doc, double ttl_ms, double now_ms) const {
   ECGF_EXPECTS(ttl_ms > 0.0);
-  const auto it = resident_.find(doc);
-  return it != resident_.end() && now_ms - it->second.stored_ms <= ttl_ms;
+  const auto* r = resident_.find(doc);
+  return r != nullptr && now_ms - r->value.stored_ms <= ttl_ms;
 }
 
 Version EdgeCache::resident_version(DocId doc) const {
-  const auto it = resident_.find(doc);
-  ECGF_EXPECTS(it != resident_.end());
-  return it->second.version;
+  const auto* r = resident_.find(doc);
+  ECGF_EXPECTS(r != nullptr);
+  return r->value.version;
 }
 
-void EdgeCache::erase_resident(DocId doc, bool count_as_eviction) {
-  const auto it = resident_.find(doc);
-  ECGF_EXPECTS(it != resident_.end());
+bool EdgeCache::erase_resident(DocId doc, bool count_as_eviction) {
+  if (!resident_.erase(doc)) return false;
   used_bytes_ -= catalog_.info(doc).size_bytes;
-  resident_.erase(it);
   policy_->on_erase(doc);
   if (count_as_eviction) ++stats_.evictions;
+  return true;
 }
 
 bool EdgeCache::insert(DocId doc, Version version, double now_ms,
@@ -84,9 +83,8 @@ bool EdgeCache::insert(DocId doc, Version version, double now_ms,
   }
 
   // Refresh-in-place for a resident (stale) copy: same footprint.
-  if (const auto it = resident_.find(doc); it != resident_.end()) {
-    it->second.version = version;
-    it->second.stored_ms = now_ms;
+  if (auto* r = resident_.find(doc)) {
+    r->value = Resident{version, now_ms};
     policy_->on_access(doc, now_ms);
     return true;
   }
@@ -100,11 +98,12 @@ bool EdgeCache::insert(DocId doc, Version version, double now_ms,
       ++stats_.rejections;
       return false;
     }
-    erase_resident(v, /*count_as_eviction=*/true);
+    const bool erased = erase_resident(v, /*count_as_eviction=*/true);
+    ECGF_ASSERT(erased);
     if (evicted != nullptr) evicted->push_back(v);
   }
 
-  resident_.emplace(doc, Resident{version, now_ms});
+  resident_.try_emplace(doc).first->value = Resident{version, now_ms};
   used_bytes_ += size;
   policy_->on_insert(doc, now_ms);
   ++stats_.insertions;
@@ -112,8 +111,7 @@ bool EdgeCache::insert(DocId doc, Version version, double now_ms,
 }
 
 bool EdgeCache::invalidate(DocId doc) {
-  if (!resident_.contains(doc)) return false;
-  erase_resident(doc, /*count_as_eviction=*/false);
+  if (!erase_resident(doc, /*count_as_eviction=*/false)) return false;
   ++stats_.invalidations;
   return true;
 }
@@ -123,9 +121,7 @@ void EdgeCache::touch(DocId doc, double now_ms) {
 }
 
 void EdgeCache::record_demand(DocId doc, double now_ms) {
-  if (auto* utility = dynamic_cast<UtilityPolicy*>(policy_.get())) {
-    utility->note_reference(doc, now_ms);
-  }
+  policy_->note_reference(doc, now_ms);
 }
 
 }  // namespace ecgf::cache

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/catalog.h"
+#include "cache/doc_table.h"
 #include "cache/document.h"
 #include "cache/replacement.h"
 
@@ -89,7 +89,7 @@ class EdgeCache {
   std::vector<DocId> resident_docs() const {
     std::vector<DocId> out;
     out.reserve(resident_.size());
-    for (const auto& [doc, r] : resident_) out.push_back(doc);
+    resident_.for_each([&](DocId doc, const Resident&) { out.push_back(doc); });
     return out;
   }
   std::size_t resident_count() const { return resident_.size(); }
@@ -104,13 +104,14 @@ class EdgeCache {
     double stored_ms = 0.0;
   };
 
-  void erase_resident(DocId doc, bool count_as_eviction);
+  /// Drop `doc` if resident (one probe); false when it was not.
+  bool erase_resident(DocId doc, bool count_as_eviction);
 
   std::uint64_t capacity_bytes_;
   std::uint64_t used_bytes_ = 0;
   const Catalog& catalog_;
   std::unique_ptr<ReplacementPolicy> policy_;
-  std::unordered_map<DocId, Resident> resident_;
+  DocTable<Resident> resident_;
   EdgeCacheStats stats_;
 };
 

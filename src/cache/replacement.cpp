@@ -8,24 +8,25 @@ namespace ecgf::cache {
 // ---------------------------------------------------------------- LRU ----
 
 void LruPolicy::on_insert(DocId doc, double now_ms) {
-  ECGF_EXPECTS(!where_.contains(doc));
+  const auto [slot, inserted] = where_.try_emplace(doc);
+  ECGF_EXPECTS(inserted);
   last_now_ms_ = now_ms;
   order_.push_front(doc);
-  where_[doc] = order_.begin();
+  slot->value = order_.begin();
 }
 
 void LruPolicy::on_access(DocId doc, double now_ms) {
-  const auto it = where_.find(doc);
-  ECGF_EXPECTS(it != where_.end());
+  const auto* slot = where_.find(doc);
+  ECGF_EXPECTS(slot != nullptr);
   last_now_ms_ = now_ms;
-  order_.splice(order_.begin(), order_, it->second);
+  order_.splice(order_.begin(), order_, slot->value);
 }
 
 void LruPolicy::on_erase(DocId doc) {
-  const auto it = where_.find(doc);
-  ECGF_EXPECTS(it != where_.end());
-  order_.erase(it->second);
-  where_.erase(it);
+  auto* slot = where_.find(doc);
+  ECGF_EXPECTS(slot != nullptr);
+  order_.erase(slot->value);
+  where_.erase(*slot);
 }
 
 DocId LruPolicy::victim(double /*now_ms*/) const {
@@ -38,10 +39,10 @@ double LruPolicy::score(DocId doc, double /*now_ms*/) const {
   // approaches 0. A non-resident document scores 1.0 — LRU always admits,
   // and once inserted it would be the most recent. Linear scan is fine for
   // the list sizes caches hold; LRU is only the baseline policy.
-  const auto it = where_.find(doc);
-  if (it == where_.end()) return 1.0;
+  const auto* slot = where_.find(doc);
+  if (slot == nullptr) return 1.0;
   std::size_t rank = 0;
-  for (auto pos = order_.begin(); pos != it->second; ++pos) ++rank;
+  for (auto pos = order_.begin(); pos != slot->value; ++pos) ++rank;
   return 1.0 - static_cast<double>(rank) / static_cast<double>(order_.size());
 }
 
@@ -64,34 +65,38 @@ void UtilityPolicy::bump(Stats& s, double now_ms) {
 }
 
 void UtilityPolicy::on_insert(DocId doc, double now_ms) {
-  Stats& s = stats_[doc];
+  Stats& s = stats_.try_emplace(doc).first->value;
   ECGF_EXPECTS(!s.resident);
   s.resident = true;
   bump(s, now_ms);
 }
 
 void UtilityPolicy::on_access(DocId doc, double now_ms) {
-  const auto it = stats_.find(doc);
-  ECGF_EXPECTS(it != stats_.end() && it->second.resident);
-  bump(it->second, now_ms);
+  auto* slot = stats_.find(doc);
+  ECGF_EXPECTS(slot != nullptr && slot->value.resident);
+  bump(slot->value, now_ms);
 }
 
 void UtilityPolicy::on_erase(DocId doc) {
-  const auto it = stats_.find(doc);
-  ECGF_EXPECTS(it != stats_.end() && it->second.resident);
+  auto* slot = stats_.find(doc);
+  ECGF_EXPECTS(slot != nullptr && slot->value.resident);
   // Keep the frequency history: a re-inserted document should not start
   // cold, and note_reference data stays useful for admission decisions.
-  it->second.resident = false;
+  slot->value.resident = false;
 }
 
 void UtilityPolicy::note_reference(DocId doc, double now_ms) {
-  bump(stats_[doc], now_ms);
+  bump(stats_.try_emplace(doc).first->value, now_ms);
 }
 
 double UtilityPolicy::score(DocId doc, double now_ms) const {
-  const auto it = stats_.find(doc);
-  const double freq =
-      it == stats_.end() ? 0.0 : decayed_frequency(it->second, now_ms);
+  const auto* slot = stats_.find(doc);
+  return utility(doc, slot == nullptr
+                          ? 0.0
+                          : decayed_frequency(slot->value, now_ms));
+}
+
+double UtilityPolicy::utility(DocId doc, double freq) const {
   const DocumentInfo& info = catalog_.info(doc);
   const double size_kb = static_cast<double>(info.size_bytes) / 1024.0;
   return freq / std::max(size_kb, 1e-3) /
@@ -102,16 +107,16 @@ DocId UtilityPolicy::victim(double now_ms) const {
   double best = std::numeric_limits<double>::infinity();
   DocId victim_doc = 0;
   bool found = false;
-  for (const auto& [doc, s] : stats_) {
-    if (!s.resident) continue;
-    const double u = score(doc, now_ms);
-    // Deterministic tie-break on the doc id.
+  // The least (score, doc id) pair, whatever the table's order.
+  stats_.for_each([&](DocId doc, const Stats& s) {
+    if (!s.resident) return;
+    const double u = utility(doc, decayed_frequency(s, now_ms));
     if (!found || u < best || (u == best && doc < victim_doc)) {
       best = u;
       victim_doc = doc;
       found = true;
     }
-  }
+  });
   ECGF_EXPECTS(found);
   return victim_doc;
 }

@@ -11,9 +11,9 @@
 #include <list>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 
 #include "cache/catalog.h"
+#include "cache/doc_table.h"
 #include "cache/document.h"
 #include "util/expect.h"
 
@@ -33,6 +33,8 @@ class ReplacementPolicy {
   virtual void on_access(DocId doc, double now_ms) = 0;
   /// Document is no longer resident (evicted or invalidated away).
   virtual void on_erase(DocId doc) = 0;
+  /// A request at `now_ms` found no fresh copy (a miss or a stale hit).
+  virtual void note_reference(DocId doc, double now_ms) = 0;
 
   /// Choose the eviction victim among resident documents. Requires at
   /// least one resident document.
@@ -50,13 +52,15 @@ class LruPolicy final : public ReplacementPolicy {
   void on_insert(DocId doc, double now_ms) override;
   void on_access(DocId doc, double now_ms) override;
   void on_erase(DocId doc) override;
+  /// Recency only: demand for a non-resident document leaves no trace.
+  void note_reference(DocId, double) override {}
   DocId victim(double now_ms) const override;
   double score(DocId doc, double now_ms) const override;
 
  private:
   // Most-recent at front.
   std::list<DocId> order_;
-  std::unordered_map<DocId, std::list<DocId>::iterator> where_;
+  DocTable<std::list<DocId>::iterator> where_;
   double last_now_ms_ = 0.0;
 };
 
@@ -73,12 +77,11 @@ class UtilityPolicy final : public ReplacementPolicy {
   void on_insert(DocId doc, double now_ms) override;
   void on_access(DocId doc, double now_ms) override;
   void on_erase(DocId doc) override;
-  DocId victim(double now_ms) const override;
-  double score(DocId doc, double now_ms) const override;
-
   /// Record interest in a document that is not (yet) resident — misses also
   /// shape reference frequency, so admission decisions see real demand.
-  void note_reference(DocId doc, double now_ms);
+  void note_reference(DocId doc, double now_ms) override;
+  DocId victim(double now_ms) const override;
+  double score(DocId doc, double now_ms) const override;
 
  private:
   struct Stats {
@@ -88,11 +91,13 @@ class UtilityPolicy final : public ReplacementPolicy {
   };
 
   double decayed_frequency(const Stats& s, double now_ms) const;
+  /// score() of `doc` at reference frequency `freq`.
+  double utility(DocId doc, double freq) const;
   void bump(Stats& s, double now_ms);
 
   const Catalog& catalog_;
   UtilityPolicyParams params_;
-  std::unordered_map<DocId, Stats> stats_;
+  DocTable<Stats> stats_;
 };
 
 /// Factory helper used by the simulator configuration.

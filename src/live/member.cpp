@@ -187,8 +187,8 @@ BarrierAck MemberProcess::apply_barrier(const BarrierMsg& b) {
   const auto klass = static_cast<sim::EventClass>(b.klass);
   if (klass == sim::EventClass::kMembership && b.synth != 0) {
     // A member-death departure exists in no script: cache and kind come
-    // inline.
-    if (b.kind > 1 || b.cache >= engine_->cache_count()) {
+    // inline (decode_barrier has already rejected any kind past kJoin).
+    if (b.cache >= engine_->cache_count()) {
       throw LiveError("synthetic kBarrier membership change malformed");
     }
     if (b.kind == static_cast<std::uint8_t>(

@@ -512,13 +512,14 @@ Completion ShardableEngine::on_request(std::uint64_t request_index,
     } else {
       lookup_ms =
           penalty_ms + (beacon == i ? 0.0 : rtt_.rtt_ms_at(i, beacon, now));
-      sink.emit(obs::TraceEvent::dir_lookup(now, i, beacon, d,
-                                            dir.holders(d).size()));
+      const std::vector<cache::CacheIndex>& holders = dir.holders(d);
+      sink.emit(
+          obs::TraceEvent::dir_lookup(now, i, beacon, d, holders.size()));
       if (beacon != i) {
         sink.rtt_sample(i, beacon, rtt_.rtt_ms_at(i, beacon, now), now);
       }
       // Ties between holders go to the earlier one in the list.
-      for (cache::CacheIndex h : dir.holders(d)) {
+      for (cache::CacheIndex h : holders) {
         if (h == i || down_[h] || !fresh_at(*caches_[h])) continue;
         const double r = rtt_.rtt_ms_at(i, h, now);
         if (r < holder_rtt) {

@@ -1,11 +1,16 @@
 // Tests for the cache substrate: catalog, replacement policies, edge cache,
-// origin server, group directory.
+// origin server, group directory, and the DocTable they are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "cache/catalog.h"
 #include "cache/directory.h"
+#include "cache/doc_table.h"
 #include "cache/edge_cache.h"
 #include "cache/origin.h"
 #include "cache/replacement.h"
@@ -85,6 +90,16 @@ TEST(Lru, ContractsOnMisuse) {
   EXPECT_THROW(lru.on_insert(5, 1.0), util::ContractViolation);
 }
 
+TEST(Lru, NoteReferenceIsANoOp) {
+  LruPolicy lru;
+  lru.on_insert(1, 0.0);
+  ReplacementPolicy& policy = lru;
+  policy.note_reference(3, 1.0);
+  EXPECT_DOUBLE_EQ(lru.score(3, 1.0), 1.0);  // still unknown
+  lru.on_insert(3, 2.0);                     // no stale entry in the way
+  EXPECT_EQ(lru.victim(2.0), 1u);
+}
+
 TEST(Utility, PrefersFrequentDocuments) {
   const auto catalog = uniform_catalog(10, 1024);
   UtilityPolicy policy(catalog);
@@ -138,6 +153,21 @@ TEST(Utility, NoteReferenceWarmsNonResidentDocs) {
   policy.note_reference(2, 0.0);
   policy.note_reference(2, 1.0);
   EXPECT_GT(policy.score(2, 1.0), 0.0);
+}
+
+TEST(Utility, VictimTieBreaksOnTheLowestIdInAnyInsertionOrder) {
+  const auto catalog = uniform_catalog(64, 1024);
+  UtilityPolicy forward(catalog);
+  UtilityPolicy backward(catalog);
+  // Every document is referenced once at t = 0, so every score ties. Doc 2
+  // ties too but is not resident.
+  forward.note_reference(2, 0.0);
+  backward.note_reference(2, 0.0);
+  for (DocId d = 5; d < 64; ++d) forward.on_insert(d, 0.0);
+  for (DocId d = 63; d >= 5; --d) backward.on_insert(d, 0.0);
+  EXPECT_EQ(forward.score(5, 10.0), forward.score(63, 10.0));
+  EXPECT_EQ(forward.victim(10.0), 5u);
+  EXPECT_EQ(backward.victim(10.0), 5u);
 }
 
 std::unique_ptr<EdgeCache> small_cache(const Catalog& catalog,
@@ -290,6 +320,142 @@ TEST(Directory, HolderRegistration) {
 TEST(Directory, RejectsForeignHolder) {
   GroupDirectory dir({1, 2});
   EXPECT_THROW(dir.add_holder(0, 99), util::ContractViolation);
+}
+
+// DocTable's hash at 8 slots, mirrored: the top three bits of doc · 2⁶⁴/φ.
+std::vector<DocId> ids_homed_at(std::size_t slot, std::size_t count) {
+  std::vector<DocId> out;
+  for (DocId d = 0; out.size() < count; ++d) {
+    if (((std::uint64_t{d} * 0x9E3779B97F4A7C15ULL) >> 61) == slot) {
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
+/// The value stored for `doc`; fails the test when it is missing.
+int value_of(const DocTable<int>& table, DocId doc) {
+  const auto* slot = table.find(doc);
+  EXPECT_NE(slot, nullptr) << "doc " << doc;
+  return slot == nullptr ? -1 : slot->value;
+}
+
+/// Keys in slot order (for_each walks the slot array).
+std::vector<DocId> slot_order(const DocTable<int>& table) {
+  std::vector<DocId> out;
+  table.for_each([&](DocId d, int) { out.push_back(d); });
+  return out;
+}
+
+TEST(DocTable, EraseShiftsAProbeRunBackAcrossTheEnd) {
+  const std::vector<DocId> last = ids_homed_at(7, 3);
+  const DocId d = ids_homed_at(0, 1)[0];
+  DocTable<int> table;
+  for (int i = 0; i < 3; ++i) table.try_emplace(last[i]).first->value = i;
+  table.try_emplace(d).first->value = 3;
+  ASSERT_EQ(table.capacity(), 8u);
+  // last[0] sits in slot 7; last[1], last[2] wrapped to slots 0 and 1, so
+  // d (home 0) probed on to slot 2.
+  EXPECT_EQ(slot_order(table),
+            (std::vector<DocId>{last[1], last[2], d, last[0]}));
+
+  // Erasing slot 7 pulls the whole run back one slot, across the end.
+  EXPECT_TRUE(table.erase(last[0]));
+  EXPECT_EQ(slot_order(table), (std::vector<DocId>{last[2], d, last[1]}));
+  EXPECT_EQ(value_of(table, last[1]), 1);
+  EXPECT_EQ(value_of(table, last[2]), 2);
+  EXPECT_EQ(value_of(table, d), 3);
+  EXPECT_EQ(table.find(last[0]), nullptr);
+
+  // A missing key erases nothing.
+  EXPECT_FALSE(table.erase(last[0]));
+  EXPECT_EQ(table.size(), 3u);
+
+  // d sits at its home slot once slot 0 empties: it must not move.
+  EXPECT_TRUE(table.erase(last[1]));
+  EXPECT_TRUE(table.erase(last[2]));
+  EXPECT_EQ(slot_order(table), (std::vector<DocId>{d}));
+  EXPECT_EQ(value_of(table, d), 3);
+}
+
+TEST(DocTable, RejectsTheReservedId) {
+  constexpr DocId reserved = DocTable<int>::kEmpty;
+  DocTable<int> table;
+  EXPECT_EQ(table.find(reserved), nullptr);
+  EXPECT_THROW(table.try_emplace(reserved), util::ContractViolation);
+  table.try_emplace(1);
+  EXPECT_THROW(table.try_emplace(reserved), util::ContractViolation);
+  EXPECT_EQ(table.find(reserved), nullptr);  // empty slots never match
+  EXPECT_FALSE(table.erase(reserved));
+  EXPECT_EQ(table.size(), 1u);
+}
+
+// Seeded random operations on a DocTable and a std::unordered_map side by
+// side: every result and, every 50 operations, the whole contents must
+// agree. A 12-key range keeps a 16-slot table full of wrapped runs; a
+// 600-key range grows it through several doublings. An insert-heavy half
+// is followed by an erase-heavy one, and a few ids sit just below the
+// reserved one.
+TEST(DocTable, MatchesUnorderedMapUnderRandomOperations) {
+  for (const std::size_t range : {12u, 600u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("range " + std::to_string(range) + " seed " +
+                   std::to_string(seed));
+      util::Rng rng(seed);
+      DocTable<std::uint64_t> table;
+      std::unordered_map<DocId, std::uint64_t> model;
+      std::size_t peak_capacity = 0;
+      constexpr std::uint64_t kOps = 20'000;
+      for (std::uint64_t op = 0; op < kOps; ++op) {
+        const DocId doc =
+            rng.bernoulli(0.05)
+                ? DocTable<std::uint64_t>::kEmpty - 1 -
+                      static_cast<DocId>(rng.index(4))
+                : static_cast<DocId>(rng.index(range));
+        const double insert_share = op < kOps / 2 ? 0.7 : 0.3;
+        if (rng.bernoulli(insert_share)) {
+          const auto [slot, inserted] = table.try_emplace(doc);
+          ASSERT_EQ(inserted, !model.contains(doc));
+          if (!inserted) {
+            ASSERT_EQ(slot->value, model[doc]);
+          }
+          slot->value = op;
+          model[doc] = op;
+        } else if (rng.bernoulli(0.5)) {
+          ASSERT_EQ(table.erase(doc), model.erase(doc) == 1);
+        } else {
+          auto* slot = table.find(doc);
+          ASSERT_EQ(slot != nullptr, model.contains(doc));
+          if (slot != nullptr) {
+            ASSERT_EQ(slot->value, model[doc]);
+            table.erase(*slot);
+            model.erase(doc);
+          }
+        }
+        ASSERT_EQ(table.size(), model.size());
+        const std::size_t capacity = table.capacity();
+        ASSERT_TRUE(capacity == 0 || std::has_single_bit(capacity));
+        ASSERT_LE(table.size() * 8, capacity * 7);
+        peak_capacity = std::max(peak_capacity, capacity);
+        if (op % 50 == 0) {
+          std::vector<std::pair<DocId, std::uint64_t>> got;
+          table.for_each(
+              [&](DocId d, std::uint64_t v) { got.emplace_back(d, v); });
+          std::vector<std::pair<DocId, std::uint64_t>> want(model.begin(),
+                                                            model.end());
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+          ASSERT_EQ(got, want);
+          for (const auto& [d, v] : want) {
+            const auto* slot = table.find(d);
+            ASSERT_NE(slot, nullptr) << "doc " << d;
+            ASSERT_EQ(slot->value, v);
+          }
+        }
+      }
+      EXPECT_GE(peak_capacity, range == 12 ? 16u : 512u);
+    }
+  }
 }
 
 }  // namespace
